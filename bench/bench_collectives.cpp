@@ -44,11 +44,10 @@ Time run_collective(Variant variant, Bytes bytes,
       variant == Variant::kHierRing || variant == Variant::kHierIna;
   const bool ina =
       variant == Variant::kFlatIna || variant == Variant::kHierIna;
-  const topo::PathConstraints constraints{hier, true};
-  const coll::Router route =
-      coll::shortest_path_router(graph, constraints);
-  const auto ranked =
-      coll::rank_aggregation_switches(graph, members, constraints, 1);
+  const topo::Routes routes(
+      graph, topo::PathOptions{.constraints = {.allow_nvlink = hier}});
+  const coll::Router route = coll::shortest_path_router(routes);
+  const auto ranked = coll::rank_aggregation_switches(routes, members, 1);
 
   coll::AllReducePlan plan;
   if (hier) {

@@ -62,7 +62,8 @@ Breakdown run_breakdown(topo::GpuModel gpu_model) {
   net::FlowNetwork network(simulator, graph);
   sw::SwitchRegistry switches(simulator, graph);
   coll::CollectiveEngine engine(network, switches);
-  const coll::Router route = coll::shortest_path_router(graph);
+  const topo::Routes routes(graph);
+  const coll::Router route = coll::shortest_path_router(routes);
   const Bytes volume = model.iteration_sync_volume(kKin, model.layers);
   engine.all_reduce(
       coll::make_ring_plan(graph.gpus(), volume, route),

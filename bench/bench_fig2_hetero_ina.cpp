@@ -32,12 +32,12 @@ Fig2Result run_fig2(bool heterogeneous, Bytes bytes) {
   sw::SwitchRegistry switches(simulator, graph);
   coll::CollectiveEngine engine(network, switches);
 
-  const topo::PathConstraints constraints{heterogeneous, true};
-  const coll::Router route = coll::shortest_path_router(graph, constraints);
+  const topo::Routes routes(
+      graph, topo::PathOptions{.constraints = {.allow_nvlink = heterogeneous}});
+  const coll::Router route = coll::shortest_path_router(routes);
   const std::vector<topo::NodeId> group{graph.find("GN1"),
                                         graph.find("GN3")};
-  const auto ranked =
-      coll::rank_aggregation_switches(graph, group, constraints, 1);
+  const auto ranked = coll::rank_aggregation_switches(routes, group, 1);
   coll::AllReducePlan plan = coll::make_ina_plan(
       group, bytes, ranked.front(), coll::Scheme::kInaSync, route);
 

@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   // t = 0.2 s: bulk background traffic congests sw0 (traffic host -> w1g0).
   simulator.schedule(0.2, [&] {
     std::printf("\n[t=0.20s] background bulk flow starts through sw0\n");
-    auto path = topo::shortest_path(graph, graph.find("traffic"),
-                                    graph.find("w1g0"));
+    auto path = topo::Routes(graph).path(graph.find("traffic"),
+                                         graph.find("w1g0"));
     net::TransferOptions opts;
     opts.pipelined = true;
     network.start_transfer(*path, 2.0 * units::GB, std::move(opts));

@@ -6,21 +6,19 @@
 namespace hero::baselines {
 namespace {
 
-constexpr topo::PathConstraints kEthernetOnly{/*allow_nvlink=*/false,
-                                              /*allow_ethernet=*/true};
-
 /// NCCL-style baseline routing: same-server GPU pairs always use the direct
 /// NVLink edge (no real stack sends intra-node traffic out the NIC); every
 /// other pair takes the static Ethernet shortest path. What the baselines
 /// lack — by design (SII-C) — is NVLink *forwarding* (detouring through a
 /// peer GPU's NIC), heterogeneous aggregation placement, and load-aware
 /// re-routing.
-coll::Router nccl_style_router(const topo::Graph& g) {
-  const coll::Router ethernet = coll::shortest_path_router(g, kEthernetOnly);
+coll::Router nccl_style_router(const topo::Routes& ethernet_routes) {
+  const topo::Graph& g = ethernet_routes.graph();
+  const coll::Router ethernet = coll::shortest_path_router(ethernet_routes);
   return [&g, ethernet](topo::NodeId a, topo::NodeId b) -> topo::Path {
     if (g.is_gpu(a) && g.is_gpu(b) &&
         g.node(a).gpu.server == g.node(b).gpu.server) {
-      return coll::direct_nvlink_path(g, a, b);
+      return topo::direct_nvlink_path(g, a, b);
     }
     return ethernet(a, b);
   };
@@ -47,7 +45,11 @@ const char* to_string(BaselineKind kind) {
 StaticCommScheduler::StaticCommScheduler(net::FlowNetwork& network,
                                          BaselineKind kind,
                                          BaselineOptions opts)
-    : network_(&network), kind_(kind), opts_(opts) {
+    : network_(&network),
+      kind_(kind),
+      opts_(opts),
+      routes_(network.graph(),
+              topo::PathOptions{.constraints = {.allow_nvlink = false}}) {
   if (kind_ == BaselineKind::kAtp && opts_.fallback == topo::kInvalidNode) {
     opts_.fallback = find_ps_host(network.graph());
   }
@@ -62,9 +64,8 @@ coll::GroupId StaticCommScheduler::register_group(
                    [&](topo::NodeId a, topo::NodeId b) {
                      return g.node(a).gpu.server < g.node(b).gpu.server;
                    });
-  const coll::Router route = nccl_style_router(g);
-  const coll::Router ethernet =
-      coll::shortest_path_router(g, kEthernetOnly);
+  const coll::Router route = nccl_style_router(routes_);
+  const coll::Router ethernet = coll::shortest_path_router(routes_);
 
   // A group confined to one server has nothing to aggregate in-network:
   // the DS-integrated INA baselines fall back to plain NCCL there, same as
@@ -94,8 +95,7 @@ coll::GroupId StaticCommScheduler::register_group(
       // aggregator is elected by the worst member's path. The central
       // scheduler "uniformly allocates and recycles aggregator slots"
       // (SIV): spread groups round-robin across the top-ranked switches.
-      auto switches =
-          coll::rank_aggregation_switches(g, members, kEthernetOnly, 2);
+      auto switches = coll::rank_aggregation_switches(routes_, members, 2);
       if (switches.empty()) {
         throw std::runtime_error(
             "StaticCommScheduler: no aggregation switch reachable");
@@ -132,9 +132,7 @@ coll::AllReducePlan StaticCommScheduler::all_reduce_plan(coll::GroupId group,
 
 topo::Path StaticCommScheduler::unicast_path(topo::NodeId src,
                                              topo::NodeId dst) {
-  topo::PathOptions opts;
-  opts.constraints = kEthernetOnly;
-  auto p = topo::shortest_path(network_->graph(), src, dst, opts);
+  auto p = routes_.path(src, dst);
   if (!p) throw std::runtime_error("StaticCommScheduler: no unicast route");
   return *std::move(p);
 }

@@ -54,6 +54,7 @@ class StaticCommScheduler final : public coll::CommScheduler {
   net::FlowNetwork* network_;
   BaselineKind kind_;
   BaselineOptions opts_;
+  topo::Routes routes_;  ///< Ethernet-only
   std::vector<coll::AllReducePlan> plans_;
 };
 

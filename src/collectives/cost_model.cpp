@@ -16,8 +16,7 @@ Time ring_all_reduce_latency(std::size_t members, Bytes volume_per_gpu,
 
 Time ring_all_reduce_latency_on_paths(const topo::Graph& g,
                                       std::span<const topo::Path> ring_paths,
-                                      Bytes volume_per_gpu,
-                                      std::span<const Bandwidth> residual_bw) {
+                                      Bytes volume_per_gpu) {
   if (ring_paths.size() <= 1 || volume_per_gpu <= 0) return 0.0;
   // Every step moves one chunk across every ring edge concurrently; the step
   // time is set by the slowest neighbour path (store-and-forward over its
@@ -27,7 +26,7 @@ Time ring_all_reduce_latency_on_paths(const topo::Graph& g,
   Time worst_step = 0.0;
   for (const topo::Path& p : ring_paths) {
     if (p.empty()) return std::numeric_limits<Time>::infinity();
-    worst_step = std::max(worst_step, p.latency(g, chunk, residual_bw));
+    worst_step = std::max(worst_step, p.latency(g, chunk));
   }
   return 2.0 * (static_cast<double>(members) - 1.0) * worst_step;
 }
@@ -36,16 +35,15 @@ Time ina_all_reduce_latency_on_paths(const topo::Graph& g,
                                      std::span<const topo::Path> up_paths,
                                      std::span<const topo::Path> down_paths,
                                      Bytes volume_per_gpu,
-                                     const CostConfig& cfg,
-                                     std::span<const Bandwidth> residual_bw) {
+                                     const CostConfig& cfg) {
   if (up_paths.empty() || volume_per_gpu <= 0) return 0.0;
   Time col = 0.0;
   for (const topo::Path& p : up_paths) {
-    col = std::max(col, p.latency(g, volume_per_gpu, residual_bw));
+    col = std::max(col, p.latency(g, volume_per_gpu));
   }
   Time dis = 0.0;
   for (const topo::Path& p : down_paths) {
-    dis = std::max(dis, p.latency(g, volume_per_gpu, residual_bw));
+    dis = std::max(dis, p.latency(g, volume_per_gpu));
   }
   return col + cfg.agg_latency + dis;
 }

@@ -34,14 +34,14 @@ struct CostConfig {
 /// derived from the path hops).
 [[nodiscard]] Time ring_all_reduce_latency_on_paths(
     const topo::Graph& g, std::span<const topo::Path> ring_paths,
-    Bytes volume_per_gpu, std::span<const Bandwidth> residual_bw = {});
+    Bytes volume_per_gpu);
 
 /// Eq. 8-10: T_ina = max_k T_col(k) + T_agg + max_k T_dis(k), each phase a
 /// store-and-forward path transfer of the full per-GPU volume.
 [[nodiscard]] Time ina_all_reduce_latency_on_paths(
     const topo::Graph& g, std::span<const topo::Path> up_paths,
     std::span<const topo::Path> down_paths, Bytes volume_per_gpu,
-    const CostConfig& cfg = {}, std::span<const Bandwidth> residual_bw = {});
+    const CostConfig& cfg = {});
 
 /// Hierarchical estimate: local NVLink ring within each server over
 /// `local_sizes`, then the inter-server phase (`wide_latency`), then an

@@ -137,7 +137,7 @@ void CollectiveEngine::start_local_phase(Op& op) {
     run.steps_left = 2 * (group.size() - 1);
     run.paths.reserve(group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
-      run.paths.push_back(direct_nvlink_path(
+      run.paths.push_back(topo::direct_nvlink_path(
           network_->graph(), group[i], group[(i + 1) % group.size()]));
     }
     op.local_runs.push_back(std::move(run));
@@ -344,7 +344,7 @@ void CollectiveEngine::start_broadcast_phase(Op& op) {
   for (const auto& group : op.plan.local_groups) {
     for (std::size_t i = 1; i < group.size(); ++i) {
       network_->start_transfer(
-          direct_nvlink_path(network_->graph(), group[0], group[i]),
+          topo::direct_nvlink_path(network_->graph(), group[0], group[i]),
           op.plan.bytes,
           net::TransferOptions{[this, id = op.id](net::TransferId) {
             auto it = ops_.find(id);
@@ -495,23 +495,11 @@ AllReducePlan make_hierarchical_plan(const topo::Graph& g,
   return plan;
 }
 
-topo::Path direct_nvlink_path(const topo::Graph& g, topo::NodeId a,
-                              topo::NodeId b) {
-  for (const topo::Adjacency& adj : g.neighbors(a)) {
-    if (adj.peer == b && g.edge(adj.edge).kind == topo::LinkKind::kNvLink) {
-      return topo::Path{{a, b}, {adj.edge}};
-    }
-  }
-  throw std::invalid_argument("direct_nvlink_path: no NVLink edge");
-}
-
-Router shortest_path_router(const topo::Graph& g,
-                            topo::PathConstraints constraints) {
-  return [&g, constraints](topo::NodeId a, topo::NodeId b) -> topo::Path {
-    topo::PathOptions opts;
-    opts.constraints = constraints;
-    auto p = topo::shortest_path(g, a, b, opts);
+Router shortest_path_router(const topo::Routes& routes) {
+  return [&routes](topo::NodeId a, topo::NodeId b) -> topo::Path {
+    auto p = routes.path(a, b);
     if (!p) {
+      const topo::Graph& g = routes.graph();
       throw std::runtime_error("shortest_path_router: unreachable pair " +
                                g.node(a).name + " -> " + g.node(b).name);
     }
@@ -520,13 +508,13 @@ Router shortest_path_router(const topo::Graph& g,
 }
 
 std::vector<topo::NodeId> rank_aggregation_switches(
-    const topo::PathOracle& oracle, const std::vector<topo::NodeId>& members,
+    const topo::Routes& routes, const std::vector<topo::NodeId>& members,
     std::size_t count) {
   struct Scored {
     topo::NodeId sw = topo::kInvalidNode;
     Time score = 0.0;
   };
-  const topo::Graph& g = oracle.graph();
+  const topo::Graph& g = routes.graph();
   std::vector<Scored> scored;
   for (topo::NodeId sw : g.switches()) {
     if (g.node(sw).agg_slots <= 0) continue;
@@ -536,7 +524,7 @@ std::vector<topo::NodeId> rank_aggregation_switches(
     Time total = 0.0;
     bool reachable = true;
     for (topo::NodeId m : members) {
-      const Time lat = oracle.latency(m, sw, 1.0 * units::MiB);
+      const Time lat = routes.latency(m, sw, 1.0 * units::MiB);
       if (std::isinf(raw(lat))) {
         reachable = false;
         break;
@@ -554,17 +542,6 @@ std::vector<topo::NodeId> rank_aggregation_switches(
     out.push_back(s.sw);
   }
   return out;
-}
-
-std::vector<topo::NodeId> rank_aggregation_switches(
-    const topo::Graph& g, const std::vector<topo::NodeId>& members,
-    topo::PathConstraints constraints, std::size_t count) {
-  topo::PathOptions opts;
-  opts.constraints = constraints;
-  // One Dijkstra per distinct member instead of one per (member, switch):
-  // the oracle memoizes per-source solves within this election.
-  const topo::PathOracle oracle(g, opts);
-  return rank_aggregation_switches(oracle, members, count);
 }
 
 }  // namespace hero::coll

@@ -35,8 +35,8 @@ enum class Scheme : std::uint8_t { kRing, kInaSync, kInaAsync };
 
 [[nodiscard]] const char* to_string(Scheme scheme);
 
-/// Path lookup used by plan builders; implementations: static planner
-/// PathStore, online scheduler dynamic choice, Ethernet-only baselines.
+/// Path lookup used by plan builders; implementations: static shortest
+/// paths (shortest_path_router), the NCCL-style baseline router.
 using Router = std::function<topo::Path(topo::NodeId, topo::NodeId)>;
 
 struct AllReducePlan {
@@ -158,28 +158,18 @@ class CollectiveEngine {
     topo::NodeId agg_switch = topo::kInvalidNode,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);
 
-/// Single NVLink edge path between two same-server GPUs (throws when there
-/// is no direct NVLink edge).
-[[nodiscard]] topo::Path direct_nvlink_path(const topo::Graph& g,
-                                            topo::NodeId a, topo::NodeId b);
-
-/// Router resolving pairs through static shortest paths under the given
-/// constraints (throws std::runtime_error on unreachable pairs).
-[[nodiscard]] Router shortest_path_router(
-    const topo::Graph& g, topo::PathConstraints constraints = {});
+/// Router resolving pairs through `routes`' static shortest paths (throws
+/// std::runtime_error on unreachable pairs). `routes` must outlive the
+/// router.
+[[nodiscard]] Router shortest_path_router(const topo::Routes& routes);
 
 /// Aggregation-switch election: switches with aggregator slots, ranked by
-/// total shortest-path latency (1 MiB reference) to `members`; at most
-/// `count` returned. Used by the offline planner (Alg. 2 step 2), the
-/// online policy builder, and the INA baselines. The oracle overload is the
-/// fast path: a caller-owned topo::PathOracle amortizes the per-member
-/// Dijkstra across every election it runs (the planner scores tens of
-/// thousands of candidate groups against the same graph).
+/// shortest-path latency (1 MiB reference) from `members`; at most `count`
+/// returned. Used by the offline planner (Alg. 2 step 2), the online policy
+/// builder, and the INA baselines, each with the Routes it already holds,
+/// so the per-member Dijkstra is shared across every election it runs.
 [[nodiscard]] std::vector<topo::NodeId> rank_aggregation_switches(
-    const topo::PathOracle& oracle, const std::vector<topo::NodeId>& members,
+    const topo::Routes& routes, const std::vector<topo::NodeId>& members,
     std::size_t count);
-[[nodiscard]] std::vector<topo::NodeId> rank_aggregation_switches(
-    const topo::Graph& g, const std::vector<topo::NodeId>& members,
-    topo::PathConstraints constraints, std::size_t count);
 
 }  // namespace hero::coll

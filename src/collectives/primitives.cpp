@@ -142,12 +142,11 @@ Time reduce_scatter_latency(std::size_t members, Bytes bytes,
 
 Time broadcast_latency_on_paths(const topo::Graph& g,
                                 std::span<const topo::Path> paths,
-                                Bytes bytes,
-                                std::span<const Bandwidth> residual_bw) {
+                                Bytes bytes) {
   Time worst = 0.0;
   for (const topo::Path& p : paths) {
     if (p.nodes.empty()) continue;  // root's own slot
-    worst = std::max(worst, p.latency(g, bytes, residual_bw));
+    worst = std::max(worst, p.latency(g, bytes));
   }
   return worst;
 }

@@ -63,8 +63,7 @@ void run_primitive(CollectiveEngine& engine, PrimitivePlan plan,
 
 /// Broadcast: max over receivers of the root->receiver path serialization.
 [[nodiscard]] Time broadcast_latency_on_paths(
-    const topo::Graph& g, std::span<const topo::Path> paths, Bytes bytes,
-    std::span<const Bandwidth> residual_bw = {});
+    const topo::Graph& g, std::span<const topo::Path> paths, Bytes bytes);
 
 /// Identity check: all-gather + reduce-scatter == all-reduce on the wire
 /// (the sequence-parallel equivalence); returns the combined estimate.

@@ -30,7 +30,7 @@ std::vector<topo::EdgeId> plan_edges(const coll::AllReducePlan& plan,
   for (const topo::Path& p : plan.down_paths) add_path(p);
   for (const auto& group : plan.local_groups) {
     for (std::size_t i = 1; i < group.size(); ++i) {
-      add_path(coll::direct_nvlink_path(g, group[0], group[i]));
+      add_path(topo::direct_nvlink_path(g, group[0], group[i]));
     }
   }
   std::sort(edges.begin(), edges.end());

@@ -39,14 +39,18 @@ std::vector<topo::NodeId> wide_participants(
 
 }  // namespace
 
-std::vector<Policy> build_policies(const topo::Graph& graph,
+std::vector<Policy> build_policies(const topo::Routes& routes,
                                    const std::vector<topo::NodeId>& members,
                                    const PolicyBuildOptions& opts) {
   if (members.empty()) {
     throw std::invalid_argument("build_policies: empty group");
   }
-  const coll::Router route = coll::shortest_path_router(
-      graph, hetero_opts(opts.heterogeneous).constraints);
+  if (routes.options().constraints.allow_nvlink != opts.heterogeneous) {
+    throw std::invalid_argument(
+        "build_policies: routes must allow NVLink iff heterogeneous");
+  }
+  const topo::Graph& graph = routes.graph();
+  const coll::Router route = coll::shortest_path_router(routes);
   const std::vector<topo::NodeId> wide =
       wide_participants(graph, members, opts.heterogeneous);
 
@@ -60,9 +64,8 @@ std::vector<Policy> build_policies(const topo::Graph& graph,
   };
 
   if (opts.include_ina) {
-    const auto switches = coll::rank_aggregation_switches(
-        graph, wide, hetero_opts(opts.heterogeneous).constraints,
-        opts.switch_candidates);
+    const auto switches =
+        coll::rank_aggregation_switches(routes, wide, opts.switch_candidates);
     for (topo::NodeId sw : switches) {
       coll::AllReducePlan plan =
           opts.heterogeneous
@@ -294,12 +297,15 @@ void OnlineScheduler::set_sync_disruption(Time extra_delay, bool drop_sync) {
 HeroCommScheduler::HeroCommScheduler(net::FlowNetwork& network,
                                      OnlineConfig config,
                                      PolicyBuildOptions build)
-    : network_(&network), build_(build), online_(network, config) {}
+    : network_(&network),
+      build_(build),
+      routes_(network.graph(), hetero_opts(build.heterogeneous)),
+      online_(network, config) {}
 
 GroupId HeroCommScheduler::register_group(
     std::vector<topo::NodeId> members) {
   std::vector<Policy> policies =
-      build_policies(network_->graph(), members, build_);
+      build_policies(routes_, members, build_);
   return online_.register_group(
       group_prefix_ + strfmt("group{}", online_.group_count()),
       std::move(policies));
@@ -313,13 +319,11 @@ coll::AllReducePlan HeroCommScheduler::all_reduce_plan(GroupId group,
 topo::Path HeroCommScheduler::unicast_path(topo::NodeId src,
                                            topo::NodeId dst) {
   // Load-aware route choice among edge-diverse alternates: pick the one
-  // whose bottleneck residual bandwidth is largest right now. Each probe is
-  // one O(hops) estimate_path() walk over the live link indexes — and
-  // direction-aware, so a link loaded only in the opposite direction no
-  // longer penalizes a route (the old per-edge residual vector took the
-  // busier direction of every edge).
-  auto alts = topo::alternate_paths(network_->graph(), src, dst, 3,
-                                    hetero_opts(build_.heterogeneous));
+  // whose bottleneck residual bandwidth is largest right now. The
+  // alternates depend only on the static graph, so routes_ searches them
+  // once per pair; the load enters through one O(hops), direction-aware
+  // estimate_path() walk per alternate over the live link indexes.
+  const std::vector<topo::Path>& alts = routes_.alternates(src, dst);
   if (alts.empty()) {
     throw std::runtime_error("HeroCommScheduler: no unicast route");
   }

@@ -32,9 +32,11 @@ struct PolicyBuildOptions {
   std::uint32_t slots = 8;
 };
 
-/// Build the candidate policy set for one GPU group on `graph`.
+/// Build the candidate policy set for one GPU group. `routes` supplies
+/// every path; it must allow NVLink forwarding iff opts.heterogeneous
+/// (throws std::invalid_argument otherwise, or on an empty group).
 [[nodiscard]] std::vector<Policy> build_policies(
-    const topo::Graph& graph, const std::vector<topo::NodeId>& members,
+    const topo::Routes& routes, const std::vector<topo::NodeId>& members,
     const PolicyBuildOptions& opts);
 
 class OnlineScheduler {
@@ -115,7 +117,8 @@ class OnlineScheduler {
 };
 
 /// HeroServe's CommScheduler: hierarchical/heterogeneous policies driven by
-/// the online scheduler; load-aware alternate routing for unicast.
+/// the online scheduler; load-aware alternate routing for unicast. One
+/// Routes serves every policy build, switch election and unicast query.
 class HeroCommScheduler final : public coll::CommScheduler {
  public:
   HeroCommScheduler(net::FlowNetwork& network, OnlineConfig config = {},
@@ -140,6 +143,7 @@ class HeroCommScheduler final : public coll::CommScheduler {
  private:
   net::FlowNetwork* network_;
   PolicyBuildOptions build_;
+  topo::Routes routes_;
   std::string group_prefix_;
   OnlineScheduler online_;
 };

@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
-#include <thread>
 
 #include "gpusim/gpu_spec.hpp"
 
@@ -14,12 +13,21 @@ namespace {
 constexpr std::size_t kTensorWidths[] = {1, 2, 4, 8, 16};
 constexpr std::size_t kPipeDepths[] = {1, 2, 3, 4, 6, 8};
 
-topo::PathConstraints constraints_for(bool heterogeneous) {
+PlannerInputs checked(PlannerInputs in) {
+  if (in.graph == nullptr || in.latency == nullptr) {
+    throw std::invalid_argument("OfflinePlanner: graph/latency required");
+  }
+  return in;
+}
+
+topo::PathOptions path_options(const PlannerInputs& in, Bytes ref_bytes) {
   // Homogeneous planning still sees direct intra-server NVLink edges (NCCL
   // uses them unconditionally); only multi-hop NVLink forwarding is
   // HeroServe-exclusive.
-  return topo::PathConstraints{heterogeneous, true,
-                               /*allow_nvlink_direct=*/!heterogeneous};
+  return topo::PathOptions{
+      ref_bytes, topo::PathConstraints{in.heterogeneous,
+                                       /*allow_nvlink_direct=*/
+                                       !in.heterogeneous}};
 }
 
 /// Reference GPU for the fitted latency model.
@@ -87,31 +95,14 @@ PoolSplit split_pools(const topo::Graph& graph, Bytes m_req_prefill,
   return split;
 }
 
-OfflinePlanner::OfflinePlanner(PlannerInputs inputs) : in_(std::move(inputs)) {
-  if (in_.graph == nullptr || in_.latency == nullptr) {
-    throw std::invalid_argument("OfflinePlanner: graph/latency required");
-  }
-  // Offline precomputation of the pairwise shortest-path store D_(i,j) /
-  // P_(k,a) (Alg. 2 lines 1-3). Terminals: every GPU and switch.
-  std::vector<topo::NodeId> terminals = in_.graph->gpus();
-  for (topo::NodeId sw : in_.graph->switches()) terminals.push_back(sw);
-  topo::PathOptions opts;
-  opts.constraints = constraints_for(in_.heterogeneous);
-  opts.ref_bytes =
-      std::max<Bytes>(in_.model.sync_volume_per_step(
-                          std::max<std::size_t>(in_.k_in, 1)),
-                      64.0 * units::KiB);
-  paths_.emplace(*in_.graph, std::move(terminals), opts);
-
-  // The aggregation-switch elections use the default 1 MiB reference (the
-  // election is a route-quality ranking, not a volume estimate), so the
-  // oracle gets its own options rather than the path store's.
-  topo::PathOptions election;
-  election.constraints = constraints_for(in_.heterogeneous);
-  oracle_.emplace(*in_.graph, election);
-}
-
-const topo::PathStore& OfflinePlanner::paths() const { return *paths_; }
+OfflinePlanner::OfflinePlanner(PlannerInputs inputs)
+    : in_(checked(std::move(inputs))),
+      routes_(*in_.graph,
+              path_options(in_, std::max<Bytes>(
+                                    in_.model.sync_volume_per_step(
+                                        std::max<std::size_t>(in_.k_in, 1)),
+                                    64.0 * units::KiB))),
+      election_routes_(*in_.graph, path_options(in_, 1.0 * units::MiB)) {}
 
 std::vector<CandidateConfig> OfflinePlanner::generate_candidates() const {
   const Bytes model_bytes = in_.model.param_bytes();
@@ -227,7 +218,8 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
     std::vector<topo::Path> ring;
     ring.reserve(wide.size());
     for (std::size_t i = 0; i < wide.size(); ++i) {
-      ring.push_back(paths_->path(wide[i], wide[(i + 1) % wide.size()]));
+      ring.push_back(
+          routes_.path(wide[i], wide[(i + 1) % wide.size()]).value());
     }
     return coll::ring_all_reduce_latency_on_paths(g, ring, step_volume);
   };
@@ -242,13 +234,13 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
       for (topo::NodeId m : ordered) {
         const Bytes shard =
             step_volume / group_size[g.node(m).gpu.server];
-        col = std::max(col, paths_->latency(m, sw, shard));
-        dis = std::max(dis, paths_->latency(sw, m, shard));
+        col = std::max(col, routes_.latency(m, sw, shard));
+        dis = std::max(dis, routes_.latency(sw, m, shard));
       }
     } else {
       for (topo::NodeId m : wide) {
-        col = std::max(col, paths_->latency(m, sw, step_volume));
-        dis = std::max(dis, paths_->latency(sw, m, step_volume));
+        col = std::max(col, routes_.latency(m, sw, step_volume));
+        dis = std::max(dis, routes_.latency(sw, m, step_volume));
       }
     }
     return col + in_.comm_cost.agg_latency + dis;
@@ -266,7 +258,8 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
   // constraints").
   Time t_ina = std::numeric_limits<Time>::infinity();
   topo::NodeId best_switch = topo::kInvalidNode;
-  const auto switches = coll::rank_aggregation_switches(*oracle_, wide, 1);
+  const auto switches =
+      coll::rank_aggregation_switches(election_routes_, wide, 1);
   if (!switches.empty()) {
     best_switch = switches.front();
     t_ina = wide_ina_latency(best_switch);
@@ -320,7 +313,7 @@ OfflinePlanner::ClusterEstimate OfflinePlanner::estimate_cluster(
   for (std::size_t i = 0; i < chosen.size(); ++i) {
     for (std::size_t j = 0; j < chosen.size(); ++j) {
       matrix_data[i * chosen.size() + j] =
-          i == j ? 0.0 : paths_->latency(chosen[i], chosen[j], step_volume);
+          i == j ? 0.0 : routes_.latency(chosen[i], chosen[j], step_volume);
     }
   }
   const LatencyMatrix matrix(chosen, std::move(matrix_data));
@@ -362,7 +355,7 @@ OfflinePlanner::ClusterEstimate OfflinePlanner::estimate_cluster(
       Time worst_receiver = 0.0;
       for (topo::NodeId k : est.plan.stages[s + 1].gpus) {
         worst_receiver =
-            std::max(worst_receiver, paths_->latency(a, k, step_volume));
+            std::max(worst_receiver, routes_.latency(a, k, step_volume));
       }
       best_sender = std::min(best_sender, worst_receiver);
     }
@@ -419,7 +412,7 @@ Time OfflinePlanner::kv_transfer_latency(const ClusterPlan& prefill,
     const std::size_t j = i * dec.size() / pre.size();
     // KV streams are pipelined RDMA flows: end-to-end bottleneck rate, not
     // per-hop store-and-forward.
-    const topo::Path& path = paths_->path(pre[i], dec[j]);
+    const topo::Path path = routes_.path(pre[i], dec[j]).value();
     const Bandwidth bw = path.bottleneck(*in_.graph);
     Time latency = bw > 0 ? volume / bw : 0.0;
     for (topo::EdgeId e : path.edges) latency += in_.graph->edge(e).latency;
@@ -470,33 +463,28 @@ PlanResult OfflinePlanner::plan() {
     const std::size_t q_cap =
         std::min(q_mem_cap, in_.decode_batch_limit);
 
-    // Alg. 1: prefill and decode clusters estimated concurrently. The
-    // decode worker additionally searches the largest TPOT-feasible batch
-    // (descending powers of two from the memory cap).
-    ClusterEstimate pre_est, dec_est;
+    // Alg. 1 estimates the prefill and decode clusters as two independent
+    // threads; each estimate here draws from its own forked Rng, so running
+    // them in sequence gives the same plan. The decode estimate additionally
+    // searches the largest TPOT-feasible batch (descending powers of two
+    // from the memory cap).
+    Rng pre_rng = rng.fork();
+    Rng dec_rng = rng.fork();
+    const ClusterEstimate pre_est =
+        estimate_cluster(true, cand.prefill, pools.prefill, pre_rng);
+    ClusterEstimate dec_est;
     std::size_t q_dec = 1;
-    {
-      Rng pre_rng = rng.fork();
-      Rng dec_rng = rng.fork();
-      std::jthread pre_thread([&] {
-        pre_est = estimate_cluster(true, cand.prefill, pools.prefill,
-                                   pre_rng);
-      });
-      std::jthread dec_thread([&] {
-        std::size_t q = 1;
-        while (q * 2 <= q_cap) q *= 2;
-        for (;; q /= 2) {
-          dec_est = estimate_cluster(false, cand.decode, pools.decode,
-                                     dec_rng, q);
-          if (!dec_est.feasible) return;
-          if (dec_est.plan.t_net + dec_est.plan.t_comp <=
-                  in_.t_sla_decode ||
-              q == 1) {
-            q_dec = q;
-            return;
-          }
-        }
-      });
+    std::size_t q = 1;
+    while (q * 2 <= q_cap) q *= 2;
+    for (;; q /= 2) {
+      dec_est =
+          estimate_cluster(false, cand.decode, pools.decode, dec_rng, q);
+      if (!dec_est.feasible) break;
+      if (dec_est.plan.t_net + dec_est.plan.t_comp <= in_.t_sla_decode ||
+          q == 1) {
+        q_dec = q;
+        break;
+      }
     }
     if (!pre_est.feasible || !dec_est.feasible) {
       if (best.infeasible_reason == "no candidate evaluated") {

@@ -7,18 +7,18 @@
 // H = 1/T_req subject to the TTFT/TPOT SLAs.
 //
 // Heuristics as in the paper:
-//  * offline all-pairs shortest paths / latency matrices (computed on
-//    background threads at construction — the "asynchronous processing");
+//  * shortest paths / latency matrices from a topo::Routes per planner,
+//    solved lazily per source GPU or switch as the search first asks
+//    (the paper precomputes them all-pairs, asynchronously);
 //  * candidate (P_tens, P_pipe) combinations bounded by the per-GPU memory
 //    requirement m_req = R / (P_t * P_p * R_frac), at most `max_candi`;
-//  * per-candidate prefill and decode estimation on two concurrent worker
-//    threads (Alg. 1's `thread process_prefill_cluster` /
-//    `thread process_decode_cluster`);
+//  * per-candidate prefill and decode estimation (Alg. 1's
+//    `thread process_prefill_cluster` / `thread process_decode_cluster`),
+//    run one after the other on independently forked Rngs;
 //  * constrained k-means GPU grouping + random-swap perturbation (Alg. 2);
 //  * Pollaczek-Khinchine queueing for T_queue.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -152,10 +152,6 @@ class OfflinePlanner {
   /// (Alg. 1 `gen_tp_pp_candi`), exposed for tests.
   [[nodiscard]] std::vector<CandidateConfig> generate_candidates() const;
 
-  /// The offline path stores (asynchronously precomputed). Heterogeneous
-  /// when inputs.heterogeneous, Ethernet-only otherwise.
-  [[nodiscard]] const topo::PathStore& paths() const;
-
  private:
   struct ClusterEstimate {
     bool feasible = false;
@@ -165,10 +161,14 @@ class OfflinePlanner {
   };
 
   PlannerInputs in_;
-  std::optional<topo::PathStore> paths_;
-  /// Memoized per-source Dijkstra shared by every aggregation-switch
-  /// election score_group() runs (one solve per distinct member, total).
-  std::optional<topo::PathOracle> oracle_;
+  /// D_(i,j) / P_(k,a) of Alg. 2, routed at the K_in sync-step volume
+  /// (at least 64 KiB). Heterogeneous when inputs.heterogeneous,
+  /// Ethernet-only plus direct NVLink otherwise.
+  topo::Routes routes_;
+  /// Same constraints at the 1 MiB reference the aggregation-switch
+  /// elections rank by (a route-quality ranking, not a volume estimate);
+  /// shared by every election score_group() runs.
+  topo::Routes election_routes_;
 
   /// `q_dec` sizes the decode cluster's batch-dependent terms (context
   /// tokens and sync volumes); ignored for prefill.

@@ -148,7 +148,9 @@ void FleetSim::start_prefix_stream(const RouteDecision& decision,
     return;
   }
   // One pipelined flow per source decode GPU to its paired destination
-  // GPU — the same sharding the router's quote priced.
+  // GPU — the same sharding the router's quote priced. The route may differ:
+  // the quote priced the static shortest path, while unicast_path picks
+  // (for HeroServe) the least-loaded of its alternates.
   const Bytes per_src =
       decision.stream_bytes / static_cast<double>(sdec.size());
   auto barrier = std::make_shared<std::size_t>(sdec.size());

@@ -44,7 +44,7 @@ const char* to_string(PrefixAction action) {
 
 Router::Router(net::FlowNetwork& network, FleetConfig config)
     : network_(&network), config_(std::move(config)),
-      rng_(config_.router_seed) {}
+      rng_(config_.router_seed), routes_(network.graph()) {}
 
 std::size_t Router::add_instance(ClusterSim& instance) {
   Instance inst;
@@ -53,13 +53,15 @@ std::size_t Router::add_instance(ClusterSim& instance) {
   // to decode GPU i * |dec| / |pre| (the serving simulator's mapping). The
   // route is the plain shortest path — the *load* is applied at dispatch
   // time through the fair-share bandwidth vector, so the estimate follows
-  // congestion without perturbing any scheduler state.
+  // congestion without perturbing any scheduler state. The simulator itself
+  // sends KV over CommScheduler::unicast_path, which for HeroServe is the
+  // load-aware pick among alternates and may differ from this path.
   const auto& pre = instance.prefill_gpu_ids();
   const auto& dec = instance.decode_gpu_ids();
   inst.kv_paths.reserve(pre.size());
   for (std::size_t i = 0; i < pre.size() && !dec.empty(); ++i) {
     const std::size_t j = i * dec.size() / pre.size();
-    auto path = topo::shortest_path(network_->graph(), pre[i], dec[j]);
+    auto path = routes_.path(pre[i], dec[j]);
     if (path) inst.kv_paths.push_back(std::move(*path));
   }
   instances_.push_back(std::move(inst));
@@ -228,13 +230,13 @@ Time Router::stream_quote(std::size_t from, std::size_t to,
   // The blocks are sharded over the source's decode GPUs; each shard rides
   // its own flow to the paired destination GPU (i -> i * |dst| / |src|,
   // the same mapping every KV stream in the simulator uses). The quote is
-  // the slowest shard at live admission rates.
+  // the slowest shard at live admission rates, priced on the static shortest
+  // path; FleetSim sends the shards over unicast_path instead.
   const Bytes per_src = total / static_cast<double>(sdec.size());
   Time worst = 0.0;
   for (std::size_t i = 0; i < sdec.size(); ++i) {
     const std::size_t j = i * ddec.size() / sdec.size();
-    const auto path = topo::shortest_path(network_->graph(), sdec[i],
-                                          ddec[j]);
+    const auto path = routes_.path(sdec[i], ddec[j]);
     if (!path) return std::numeric_limits<Time>::infinity();
     if (path->edges.empty()) continue;  // same GPU (cannot happen cross-instance)
     const net::PathEstimate est = network_->estimate_path(*path);

@@ -44,6 +44,7 @@
 #include "netsim/flownet.hpp"
 #include "serving/cluster_sim.hpp"
 #include "serving/fleet_config.hpp"
+#include "topology/paths.hpp"
 #include "workload/trace.hpp"
 
 namespace hero::serve {
@@ -177,6 +178,7 @@ class Router {
   net::FlowNetwork* network_;
   FleetConfig config_;
   Rng rng_;
+  topo::Routes routes_;  ///< static KV-pairing paths (add_instance, quotes)
   std::vector<Instance> instances_;
   std::vector<std::uint64_t> dispatched_;
   std::uint64_t dispatched_total_ = 0;

@@ -4,12 +4,12 @@
 #include <array>
 #include <limits>
 #include <queue>
-#include <unordered_map>
+#include <span>
+#include <stdexcept>
 
 namespace hero::topo {
 
-// Single-source Dijkstra result, shared by the one-shot queries and the
-// memoizing PathOracle (which is why it is not in the anonymous namespace).
+// Single-source Dijkstra result over (node, arrived-via-NVLink) states.
 struct detail::Sssp {
   // prev[(node, via)] = (prev_node, prev_via, edge)
   struct Prev {
@@ -23,13 +23,7 @@ struct detail::Sssp {
 
 namespace {
 
-using SearchResult = detail::Sssp;
-
-Bandwidth edge_bandwidth(const Graph& g, EdgeId e,
-                         std::span<const Bandwidth> residual) {
-  if (!residual.empty()) return residual[e];
-  return g.edge(e).capacity;
-}
+using detail::Sssp;
 
 // Dijkstra over (node, arrived-via-NVLink) states so the GPU-relay rule can
 // be enforced: leaving an interior GPU requires the incoming or outgoing hop
@@ -41,10 +35,10 @@ struct State {
   bool operator>(const State& o) const { return dist > o.dist; }
 };
 
-SearchResult dijkstra(const Graph& g, NodeId src, const PathOptions& opts,
-                      std::span<const double> edge_weight_scale) {
+Sssp dijkstra(const Graph& g, NodeId src, const PathOptions& opts,
+              std::span<const double> edge_weight_scale) {
   const Time inf = std::numeric_limits<Time>::infinity();
-  SearchResult r;
+  Sssp r;
   r.dist.assign(g.node_count(), {inf, inf});
   r.prev.assign(g.node_count(), {});
 
@@ -66,23 +60,19 @@ SearchResult dijkstra(const Graph& g, NodeId src, const PathOptions& opts,
       const Edge& e = g.edge(adj.edge);
       if (e.kind == LinkKind::kNvLink && !opts.constraints.allow_nvlink)
         continue;
-      if (e.kind == LinkKind::kEthernet && !opts.constraints.allow_ethernet)
-        continue;
       // GPU relay rule: an interior GPU must touch NVLink on one side.
       if (!is_source && n.kind == NodeKind::kGpu && cur.via_nvlink == 0 &&
           e.kind != LinkKind::kNvLink) {
         continue;
       }
-      const Bandwidth bw = edge_bandwidth(g, adj.edge, opts.residual_bw);
-      if (bw <= 0) continue;
-      Time w = opts.ref_bytes / bw + e.latency;
+      if (e.capacity <= 0) continue;
+      Time w = opts.ref_bytes / e.capacity + e.latency;
       if (!edge_weight_scale.empty()) w *= edge_weight_scale[adj.edge];
       const Time nd = cur.dist + w;
       const std::uint8_t via = e.kind == LinkKind::kNvLink ? 1 : 0;
       if (nd < r.dist[adj.peer][via]) {
         r.dist[adj.peer][via] = nd;
-        r.prev[adj.peer][via] = SearchResult::Prev{cur.node, cur.via_nvlink,
-                                                   adj.edge};
+        r.prev[adj.peer][via] = Sssp::Prev{cur.node, cur.via_nvlink, adj.edge};
         pq.push(State{nd, adj.peer, via});
       }
     }
@@ -90,48 +80,61 @@ SearchResult dijkstra(const Graph& g, NodeId src, const PathOptions& opts,
   return r;
 }
 
-std::optional<Path> extract_path(const SearchResult& r, NodeId src,
-                                 NodeId dst) {
+/// The src -> dst path of a solved source into `out`; false when dst was
+/// not reached.
+bool extract_path(const Sssp& r, NodeId src, NodeId dst, Path& out) {
   const std::uint8_t best_via =
       r.dist[dst][0] <= r.dist[dst][1] ? std::uint8_t{0} : std::uint8_t{1};
   if (r.dist[dst][best_via] == std::numeric_limits<Time>::infinity()) {
-    return std::nullopt;
+    return false;
   }
-  Path p;
+  out.nodes.clear();
+  out.edges.clear();
   NodeId node = dst;
   std::uint8_t via = best_via;
   while (node != src) {
     const auto& prev = r.prev[node][via];
-    p.nodes.push_back(node);
-    p.edges.push_back(prev.edge);
-    const NodeId pn = prev.node;
+    out.nodes.push_back(node);
+    out.edges.push_back(prev.edge);
     via = prev.via;
-    node = pn;
+    node = prev.node;
   }
-  p.nodes.push_back(src);
-  std::reverse(p.nodes.begin(), p.nodes.end());
-  std::reverse(p.edges.begin(), p.edges.end());
-  return p;
+  out.nodes.push_back(src);
+  std::reverse(out.nodes.begin(), out.nodes.end());
+  std::reverse(out.edges.begin(), out.edges.end());
+  return true;
+}
+
+/// The NVLink edge joining a and b, or kInvalidEdge.
+EdgeId nvlink_edge(const Graph& g, NodeId a, NodeId b) {
+  for (const Adjacency& adj : g.neighbors(a)) {
+    if (adj.peer == b && g.edge(adj.edge).kind == LinkKind::kNvLink) {
+      return adj.edge;
+    }
+  }
+  return kInvalidEdge;
+}
+
+void require_nodes(std::size_t node_count, NodeId src, NodeId dst) {
+  if (src >= node_count || dst >= node_count) {
+    throw std::out_of_range("Routes: node id out of range");
+  }
 }
 
 }  // namespace
 
-Time Path::latency(const Graph& g, Bytes bytes,
-                   std::span<const Bandwidth> residual_bw) const {
+Time Path::latency(const Graph& g, Bytes bytes) const {
   Time total = 0.0;
   for (EdgeId e : edges) {
-    const Bandwidth bw = edge_bandwidth(g, e, residual_bw);
-    total += transfer_time(bytes, bw) + g.edge(e).latency;
+    const Edge& edge = g.edge(e);
+    total += transfer_time(bytes, edge.capacity) + edge.latency;
   }
   return total;
 }
 
-Bandwidth Path::bottleneck(const Graph& g,
-                           std::span<const Bandwidth> residual_bw) const {
+Bandwidth Path::bottleneck(const Graph& g) const {
   Bandwidth min_bw = std::numeric_limits<Bandwidth>::infinity();
-  for (EdgeId e : edges) {
-    min_bw = std::min(min_bw, edge_bandwidth(g, e, residual_bw));
-  }
+  for (EdgeId e : edges) min_bw = std::min(min_bw, g.edge(e).capacity);
   return edges.empty() ? 0.0 : min_bw;
 }
 
@@ -141,162 +144,94 @@ bool Path::uses_nvlink(const Graph& g) const {
   });
 }
 
-namespace {
-
-/// Direct NVLink edge between src and dst, if any.
-std::optional<Path> direct_nvlink(const Graph& g, NodeId src, NodeId dst) {
-  for (const Adjacency& adj : g.neighbors(src)) {
-    if (adj.peer == dst && g.edge(adj.edge).kind == LinkKind::kNvLink) {
-      return Path{{src, dst}, {adj.edge}};
-    }
+Path direct_nvlink_path(const Graph& g, NodeId a, NodeId b) {
+  const EdgeId e = nvlink_edge(g, a, b);
+  if (e == kInvalidEdge) {
+    throw std::invalid_argument("direct_nvlink_path: no NVLink edge");
   }
-  return std::nullopt;
+  return Path{{a, b}, {e}};
 }
 
-}  // namespace
+Routes::Routes(const Graph& g, PathOptions opts)
+    : graph_(&g), opts_(opts), sssp_(g.node_count()) {}
 
-std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
-                                  const PathOptions& opts) {
-  if (src == dst) return Path{{src}, {}};
-  const SearchResult r = dijkstra(g, src, opts, {});
-  std::optional<Path> found = extract_path(r, src, dst);
-  if (!opts.constraints.allow_nvlink && opts.constraints.allow_nvlink_direct) {
-    if (auto direct = direct_nvlink(g, src, dst)) {
-      if (!found ||
-          direct->latency(g, opts.ref_bytes, opts.residual_bw) <
-              found->latency(g, opts.ref_bytes, opts.residual_bw)) {
-        return direct;
-      }
-    }
-  }
-  return found;
-}
+Routes::~Routes() = default;
+Routes::Routes(Routes&&) noexcept = default;
+Routes& Routes::operator=(Routes&&) noexcept = default;
 
-PathOracle::PathOracle(const Graph& g, const PathOptions& opts)
-    : graph_(&g), opts_(opts) {
-  // Snapshot residual bandwidth so the oracle stays valid after caller
-  // mutations (same contract as PathStore).
-  residual_copy_.assign(opts.residual_bw.begin(), opts.residual_bw.end());
-  opts_.residual_bw = residual_copy_;
-  cache_.resize(g.node_count());
-}
-
-PathOracle::~PathOracle() = default;
-PathOracle::PathOracle(PathOracle&&) noexcept = default;
-PathOracle& PathOracle::operator=(PathOracle&&) noexcept = default;
-
-const detail::Sssp& PathOracle::solved(NodeId src) const {
-  std::unique_ptr<detail::Sssp>& slot = cache_[src];
-  if (!slot) {
-    slot = std::make_unique<detail::Sssp>(dijkstra(*graph_, src, opts_, {}));
-  }
+const Sssp& Routes::solved(NodeId src) const {
+  std::unique_ptr<Sssp>& slot = sssp_[src];
+  if (!slot) slot = std::make_unique<Sssp>(dijkstra(*graph_, src, opts_, {}));
   return *slot;
 }
 
-std::optional<Path> PathOracle::path(NodeId src, NodeId dst) const {
-  // Mirrors shortest_path() exactly (bit-identical paths), with the
-  // per-source Dijkstra answered from the cache.
-  if (src == dst) return Path{{src}, {}};
-  std::optional<Path> found = extract_path(solved(src), src, dst);
+bool Routes::find(NodeId src, NodeId dst, Path& out) const {
+  require_nodes(sssp_.size(), src, dst);
+  if (src == dst) {
+    out.nodes.assign(1, src);
+    out.edges.clear();
+    return true;
+  }
+  bool found = extract_path(solved(src), src, dst, out);
   if (!opts_.constraints.allow_nvlink &&
       opts_.constraints.allow_nvlink_direct) {
-    if (auto direct = direct_nvlink(*graph_, src, dst)) {
-      if (!found ||
-          direct->latency(*graph_, opts_.ref_bytes, opts_.residual_bw) <
-              found->latency(*graph_, opts_.ref_bytes, opts_.residual_bw)) {
-        return direct;
+    const EdgeId e = nvlink_edge(*graph_, src, dst);
+    if (e != kInvalidEdge) {
+      Path direct{{src, dst}, {e}};
+      if (!found || direct.latency(*graph_, opts_.ref_bytes) <
+                        out.latency(*graph_, opts_.ref_bytes)) {
+        out = std::move(direct);
+        found = true;
       }
     }
   }
   return found;
 }
 
-Time PathOracle::latency(NodeId src, NodeId dst, Bytes bytes) const {
-  const std::optional<Path> p = path(src, dst);
-  if (!p) return std::numeric_limits<Time>::infinity();
-  return p->latency(*graph_, bytes, opts_.residual_bw);
+std::optional<Path> Routes::path(NodeId src, NodeId dst) const {
+  Path p;
+  if (!find(src, dst, p)) return std::nullopt;
+  return p;
 }
 
-std::size_t PathOracle::sources_solved() const {
-  std::size_t n = 0;
-  for (const auto& slot : cache_) n += slot != nullptr;
-  return n;
+Time Routes::latency(NodeId src, NodeId dst, Bytes bytes) const {
+  if (!find(src, dst, scratch_)) return std::numeric_limits<Time>::infinity();
+  return scratch_.latency(*graph_, bytes);
 }
 
-std::vector<Path> alternate_paths(const Graph& g, NodeId src, NodeId dst,
-                                  std::size_t k, const PathOptions& opts) {
-  std::vector<Path> result;
-  if (k == 0) return result;
-  std::vector<double> scale(g.edge_count(), 1.0);
+const std::vector<Path>& Routes::alternates(NodeId src, NodeId dst) const {
+  require_nodes(sssp_.size(), src, dst);
+  const std::uint64_t key = std::uint64_t{src} * sssp_.size() + dst;
+  const auto [it, inserted] = alternates_.try_emplace(key);
+  std::vector<Path>& result = it->second;
+  if (!inserted) return result;
+  // Every round re-runs Dijkstra with the edges of the route just found
+  // made kPenalty times dearer. Round 0 has no penalties, so its search is
+  // the cached per-source solve.
   constexpr double kPenalty = 4.0;
-  for (std::size_t round = 0; round < 2 * k && result.size() < k; ++round) {
-    const SearchResult r = dijkstra(g, src, opts, scale);
-    auto path = extract_path(r, src, dst);
-    if (!path) break;
+  std::vector<double> scale(graph_->edge_count(), 1.0);
+  for (std::size_t round = 0;
+       round < 2 * kAlternates && result.size() < kAlternates; ++round) {
+    Path path;
+    const bool found =
+        round == 0
+            ? extract_path(solved(src), src, dst, path)
+            : extract_path(dijkstra(*graph_, src, opts_, scale), src, dst,
+                           path);
+    if (!found) break;
     const bool duplicate =
         std::any_of(result.begin(), result.end(),
-                    [&](const Path& p) { return p.edges == path->edges; });
-    for (EdgeId e : path->edges) scale[e] *= kPenalty;
-    if (!duplicate) result.push_back(std::move(*path));
+                    [&](const Path& p) { return p.edges == path.edges; });
+    for (EdgeId e : path.edges) scale[e] *= kPenalty;
+    if (!duplicate) result.push_back(std::move(path));
   }
   return result;
 }
 
-PathStore::PathStore(const Graph& g, std::vector<NodeId> terminals,
-                     const PathOptions& opts)
-    : graph_(&g), terminals_(std::move(terminals)) {
-  // Snapshot residual bandwidth so the store stays valid after caller
-  // mutations.
-  residual_copy_.assign(opts.residual_bw.begin(), opts.residual_bw.end());
-
-  terminal_index_.assign(g.node_count(), -1);
-  for (std::size_t i = 0; i < terminals_.size(); ++i) {
-    terminal_index_[terminals_[i]] = static_cast<std::int32_t>(i);
-  }
-  const bool direct_override = !opts.constraints.allow_nvlink &&
-                               opts.constraints.allow_nvlink_direct;
-  paths_.assign(terminals_.size(), {});
-  for (std::size_t i = 0; i < terminals_.size(); ++i) {
-    paths_[i].assign(terminals_.size(), std::nullopt);
-    const SearchResult r = dijkstra(g, terminals_[i], opts, {});
-    for (std::size_t j = 0; j < terminals_.size(); ++j) {
-      if (i == j) {
-        paths_[i][j] = Path{{terminals_[i]}, {}};
-        continue;
-      }
-      paths_[i][j] = extract_path(r, terminals_[i], terminals_[j]);
-      if (direct_override) {
-        if (auto direct = direct_nvlink(g, terminals_[i], terminals_[j])) {
-          if (!paths_[i][j] ||
-              direct->latency(g, opts.ref_bytes, residual_copy_) <
-                  paths_[i][j]->latency(g, opts.ref_bytes, residual_copy_)) {
-            paths_[i][j] = std::move(direct);
-          }
-        }
-      }
-    }
-  }
-}
-
-std::size_t PathStore::index_of(NodeId node) const {
-  if (node >= terminal_index_.size() || terminal_index_[node] < 0) {
-    throw std::out_of_range("PathStore: node is not a terminal");
-  }
-  return static_cast<std::size_t>(terminal_index_[node]);
-}
-
-bool PathStore::reachable(NodeId src, NodeId dst) const {
-  return paths_[index_of(src)][index_of(dst)].has_value();
-}
-
-const Path& PathStore::path(NodeId src, NodeId dst) const {
-  const auto& p = paths_[index_of(src)][index_of(dst)];
-  if (!p) throw std::out_of_range("PathStore: unreachable pair");
-  return *p;
-}
-
-Time PathStore::latency(NodeId src, NodeId dst, Bytes bytes) const {
-  return path(src, dst).latency(*graph_, bytes, residual_copy_);
+std::size_t Routes::sources_solved() const {
+  return static_cast<std::size_t>(
+      std::count_if(sssp_.begin(), sssp_.end(),
+                    [](const auto& slot) { return slot != nullptr; }));
 }
 
 }  // namespace hero::topo

@@ -1,5 +1,6 @@
 // Shortest-path machinery (paper Alg. 2 lines 1-3: "gen_latency_matrix /
-// store_shortest_path, alg=dijkstra").
+// store_shortest_path, alg=dijkstra", and the online scheduler's alternate
+// routes of SIII-D).
 //
 // Path latency follows the paper's store-and-forward model (Eq. 10 and the
 // Fig. 2 walk-through): a D-byte transfer over path e_1..e_n costs
@@ -15,9 +16,10 @@
 // `allow_nvlink = false`, which restricts them to pure Ethernet routes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "topology/graph.hpp"
@@ -26,7 +28,6 @@ namespace hero::topo {
 
 struct PathConstraints {
   bool allow_nvlink = true;
-  bool allow_ethernet = true;
   /// When allow_nvlink is false, still permit a *single direct* NVLink edge
   /// between the two endpoints. This is NCCL reality for the homogeneous
   /// baselines: intra-node legs always ride NVLink, but multi-hop NVLink
@@ -40,9 +41,6 @@ struct PathOptions {
   /// latency during route search.
   Bytes ref_bytes = 1.0 * units::MiB;
   PathConstraints constraints;
-  /// Optional per-edge residual bandwidth `B(e)` (Table I); when empty the
-  /// static capacity `C(e)` is used.
-  std::span<const Bandwidth> residual_bw = {};
 };
 
 struct Path {
@@ -55,88 +53,67 @@ struct Path {
   [[nodiscard]] NodeId dst() const { return nodes.back(); }
 
   /// Store-and-forward latency of a `bytes` transfer (Eq. 10).
-  [[nodiscard]] Time latency(const Graph& g, Bytes bytes,
-                             std::span<const Bandwidth> residual_bw = {}) const;
-  /// Minimum bandwidth along the path.
-  [[nodiscard]] Bandwidth bottleneck(
-      const Graph& g, std::span<const Bandwidth> residual_bw = {}) const;
+  [[nodiscard]] Time latency(const Graph& g, Bytes bytes) const;
+  /// Minimum static capacity along the path.
+  [[nodiscard]] Bandwidth bottleneck(const Graph& g) const;
   /// True if the path uses at least one NVLink edge.
   [[nodiscard]] bool uses_nvlink(const Graph& g) const;
 };
 
-/// Single-pair shortest path; nullopt when unreachable under the constraints.
-[[nodiscard]] std::optional<Path> shortest_path(const Graph& g, NodeId src,
-                                                NodeId dst,
-                                                const PathOptions& opts = {});
-
-/// Up to k edge-diverse routes between src and dst, cheapest first, found by
-/// iterative edge-penalty re-search. The first entry is the true shortest
-/// path. Used to populate the online scheduler's policy alternatives.
-[[nodiscard]] std::vector<Path> alternate_paths(const Graph& g, NodeId src,
-                                                NodeId dst, std::size_t k,
-                                                const PathOptions& opts = {});
+/// The one-hop path over the NVLink edge between `a` and `b` (same-server
+/// GPUs). Throws std::invalid_argument when there is no such edge.
+[[nodiscard]] Path direct_nvlink_path(const Graph& g, NodeId a, NodeId b);
 
 namespace detail {
 struct Sssp;  // single-source Dijkstra result (defined in paths.cpp)
 }  // namespace detail
 
-/// Memoized single-source shortest-path queries over a fixed graph and
-/// options. The Dijkstra underneath shortest_path() is target-independent,
-/// so one solve per distinct source answers every (src, dst) query with a
-/// path bit-identical to a fresh shortest_path() call. Turns the planner's
-/// group-scoring loop from one Dijkstra per (member, switch) probe into one
-/// per distinct member. Only valid while the graph outlives the oracle;
-/// `opts.residual_bw` is snapshotted at construction.
-class PathOracle {
+/// The path service of one graph under one set of options. Every query is
+/// answered from a single-source Dijkstra that runs the first time its
+/// source is asked about and is kept, so an answer never depends on which
+/// queries came before it. The direct-NVLink override of
+/// `PathConstraints::allow_nvlink_direct` is applied here and nowhere else.
+///
+/// Only valid while the graph outlives it and its edges stay unchanged
+/// (link faults scale FlowNetwork rates, not the graph). Queries fill the
+/// caches, so one Routes must not be queried from two threads at once.
+class Routes {
  public:
-  explicit PathOracle(const Graph& g, const PathOptions& opts = {});
-  ~PathOracle();
-  PathOracle(PathOracle&&) noexcept;
-  PathOracle& operator=(PathOracle&&) noexcept;
+  /// Routes per pair alternates() searches for.
+  static constexpr std::size_t kAlternates = 3;
 
-  /// Same contract as shortest_path(g, src, dst, opts).
+  explicit Routes(const Graph& g, PathOptions opts = {});
+  ~Routes();
+  Routes(Routes&&) noexcept;
+  Routes& operator=(Routes&&) noexcept;
+
+  /// Shortest path under the constraints; nullopt when unreachable. Every
+  /// query below throws std::out_of_range when src or dst >= node_count().
   [[nodiscard]] std::optional<Path> path(NodeId src, NodeId dst) const;
   /// Eq. 10 latency of a `bytes` transfer along path(src, dst); infinity
-  /// when the pair is unreachable under the constraints.
+  /// when the pair is unreachable.
   [[nodiscard]] Time latency(NodeId src, NodeId dst, Bytes bytes) const;
+  /// Up to kAlternates edge-diverse routes, cheapest first, found by
+  /// iterative edge-penalty re-search (without the direct-NVLink override).
+  /// The first is the Dijkstra shortest path. Computed once per pair.
+  [[nodiscard]] const std::vector<Path>& alternates(NodeId src,
+                                                    NodeId dst) const;
+
   [[nodiscard]] const Graph& graph() const { return *graph_; }
-  /// Distinct sources solved so far (cache effectiveness / tests).
+  [[nodiscard]] const PathOptions& options() const { return opts_; }
+  /// Distinct sources whose Dijkstra has run (cache effectiveness / tests).
   [[nodiscard]] std::size_t sources_solved() const;
 
  private:
   const Graph* graph_;
   PathOptions opts_;
-  std::vector<Bandwidth> residual_copy_;
-  mutable std::vector<std::unique_ptr<detail::Sssp>> cache_;  // per source
+  mutable std::vector<std::unique_ptr<detail::Sssp>> sssp_;  // per source
+  mutable std::unordered_map<std::uint64_t, std::vector<Path>> alternates_;
+  mutable Path scratch_;  // latency()'s path buffer
 
   [[nodiscard]] const detail::Sssp& solved(NodeId src) const;
-};
-
-/// All-pairs shortest paths among `terminals` (the planner's offline
-/// `P_(k,a)` path store and `D_(i,j)` latency matrix).
-class PathStore {
- public:
-  PathStore(const Graph& g, std::vector<NodeId> terminals,
-            const PathOptions& opts = {});
-
-  [[nodiscard]] bool reachable(NodeId src, NodeId dst) const;
-  /// Throws std::out_of_range when src/dst is not a terminal or unreachable.
-  [[nodiscard]] const Path& path(NodeId src, NodeId dst) const;
-  /// Store-and-forward latency for a transfer of `bytes` (Eq. 10) along the
-  /// stored shortest path.
-  [[nodiscard]] Time latency(NodeId src, NodeId dst, Bytes bytes) const;
-  [[nodiscard]] std::span<const NodeId> terminals() const {
-    return terminals_;
-  }
-
- private:
-  const Graph* graph_;
-  std::vector<NodeId> terminals_;
-  std::vector<std::int32_t> terminal_index_;  // node id -> index or -1
-  std::vector<std::vector<std::optional<Path>>> paths_;
-  std::vector<Bandwidth> residual_copy_;
-
-  [[nodiscard]] std::size_t index_of(NodeId node) const;
+  /// path() into `out`; false when unreachable.
+  bool find(NodeId src, NodeId dst, Path& out) const;
 };
 
 }  // namespace hero::topo

@@ -23,6 +23,10 @@ struct Fixture {
   std::unique_ptr<sw::SwitchRegistry> switches;
   std::unique_ptr<CollectiveEngine> engine;
 
+  topo::Routes hetero_routes{graph};
+  topo::Routes ethernet_routes{
+      graph, topo::PathOptions{.constraints = {.allow_nvlink = false}}};
+
   explicit Fixture(topo::Graph g, EngineConfig cfg = {})
       : graph(std::move(g)) {
     network = std::make_unique<net::FlowNetwork>(simulator, graph);
@@ -31,7 +35,7 @@ struct Fixture {
   }
 
   Router router(bool nvlink = true) const {
-    return shortest_path_router(graph, topo::PathConstraints{nvlink, true});
+    return shortest_path_router(nvlink ? hetero_routes : ethernet_routes);
   }
 };
 
@@ -68,7 +72,8 @@ TEST(CostModel, RingDegenerateCases) {
 
 TEST(CostModel, RingOnPathsUsesWorstNeighbor) {
   const topo::Graph g = star_graph(3);
-  const Router route = shortest_path_router(g);
+  const topo::Routes routes(g);
+  const Router route = shortest_path_router(routes);
   std::vector<topo::Path> ring;
   const auto gpus = g.gpus();
   for (std::size_t i = 0; i < gpus.size(); ++i) {
@@ -82,7 +87,8 @@ TEST(CostModel, RingOnPathsUsesWorstNeighbor) {
 
 TEST(CostModel, InaOnPathsEq8) {
   const topo::Graph g = star_graph(3);
-  const Router route = shortest_path_router(g);
+  const topo::Routes routes(g);
+  const Router route = shortest_path_router(routes);
   const NodeId sw = g.find("sw");
   std::vector<topo::Path> up, down;
   for (NodeId gpu : g.gpus()) {
@@ -237,7 +243,8 @@ TEST(Engine, HierarchicalGroupsByServer) {
   std::vector<NodeId> members;
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
-  const Router route = shortest_path_router(g);
+  const topo::Routes routes(g);
+  const Router route = shortest_path_router(routes);
   const AllReducePlan plan =
       make_hierarchical_plan(g, members, 1.0 * units::MB, Scheme::kRing,
                              route);
@@ -279,28 +286,6 @@ TEST(Engine, HierarchicalFasterThanFlatOnTestbed) {
   EXPECT_LT(hier_done, flat_done);
 }
 
-TEST(Engine, RankAggregationOracleOverloadMatchesGraphOverload) {
-  // The caller-owned-oracle fast path must elect identical switches in
-  // identical order to the per-call graph overload.
-  const topo::Graph g = topo::make_testbed();
-  const auto by_server = g.gpus_by_server();
-  for (const bool hetero : {true, false}) {
-    topo::PathOptions opts;
-    opts.constraints =
-        topo::PathConstraints{hetero, true, /*allow_nvlink_direct=*/!hetero};
-    const topo::PathOracle oracle(g, opts);
-    for (std::size_t server = 0; server < by_server.size(); ++server) {
-      std::vector<NodeId> members = by_server[server];
-      if (server + 1 < by_server.size()) {
-        members.insert(members.end(), by_server[server + 1].begin(),
-                       by_server[server + 1].end());
-      }
-      EXPECT_EQ(rank_aggregation_switches(oracle, members, 2),
-                rank_aggregation_switches(g, members, opts.constraints, 2));
-    }
-  }
-}
-
 TEST(Engine, HierarchicalInaIsSharded) {
   // SwitchML sharding: the INA wide phase carries every member with a 1/g
   // payload fraction, not just per-server leaders with full payloads.
@@ -309,9 +294,9 @@ TEST(Engine, HierarchicalInaIsSharded) {
   std::vector<NodeId> members;
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
-  const Router route = shortest_path_router(g);
-  const auto ranked =
-      rank_aggregation_switches(g, members, topo::PathConstraints{}, 1);
+  const topo::Routes routes(g);
+  const Router route = shortest_path_router(routes);
+  const auto ranked = rank_aggregation_switches(routes, members, 1);
   const AllReducePlan plan = make_hierarchical_plan(
       g, members, 8.0 * units::MB, Scheme::kInaSync, route, ranked.front());
   ASSERT_EQ(plan.wide_members.size(), 8u);
@@ -330,8 +315,7 @@ TEST(Engine, ShardedInaFasterThanLeaderSizedTraffic) {
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
 
   Fixture f(g);
-  const auto ranked = rank_aggregation_switches(
-      f.graph, members, topo::PathConstraints{}, 1);
+  const auto ranked = rank_aggregation_switches(f.hetero_routes, members, 1);
   Time sharded = -1;
   f.engine->all_reduce(
       make_hierarchical_plan(f.graph, members, 32.0 * units::MB,
@@ -388,7 +372,7 @@ TEST(Engine, OpsCompletedCounter) {
 TEST(PlanBuilders, RingPathsConnectSuccessiveMembers) {
   const topo::Graph g = star_graph(4);
   const AllReducePlan plan =
-      make_ring_plan(g.gpus(), 1.0, shortest_path_router(g));
+      make_ring_plan(g.gpus(), 1.0, shortest_path_router(topo::Routes(g)));
   ASSERT_EQ(plan.ring_paths.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(plan.ring_paths[i].src(), plan.wide_members[i]);
@@ -399,15 +383,16 @@ TEST(PlanBuilders, RingPathsConnectSuccessiveMembers) {
 TEST(PlanBuilders, InaPlanValidation) {
   const topo::Graph g = star_graph(2);
   EXPECT_THROW(make_ina_plan(g.gpus(), 1.0, g.find("sw"), Scheme::kRing,
-                             shortest_path_router(g)),
+                             shortest_path_router(topo::Routes(g))),
                std::invalid_argument);
 }
 
 TEST(PlanBuilders, DirectNvlinkPathRequiresEdge) {
   const topo::Graph g = topo::make_testbed();
   const auto by_server = g.gpus_by_server();
-  EXPECT_NO_THROW(direct_nvlink_path(g, by_server[0][0], by_server[0][1]));
-  EXPECT_THROW(direct_nvlink_path(g, by_server[0][0], by_server[1][0]),
+  EXPECT_NO_THROW(
+      topo::direct_nvlink_path(g, by_server[0][0], by_server[0][1]));
+  EXPECT_THROW(topo::direct_nvlink_path(g, by_server[0][0], by_server[1][0]),
                std::invalid_argument);
 }
 
@@ -415,7 +400,7 @@ TEST(RankSwitches, PrefersNearestWithSlots) {
   const topo::Graph g = topo::make_fig2_example();
   // For {GN2, GN3} (both uplink S2), S2 must rank first.
   const auto ranked = rank_aggregation_switches(
-      g, {g.find("GN2"), g.find("GN3")}, topo::PathConstraints{}, 3);
+      topo::Routes(g), {g.find("GN2"), g.find("GN3")}, 3);
   ASSERT_FALSE(ranked.empty());
   EXPECT_EQ(ranked[0], g.find("S2"));
 }
@@ -427,8 +412,7 @@ TEST(RankSwitches, SkipsSwitchesWithoutSlots) {
   const NodeId s1 = g.add_switch("s1", NodeKind::kAccessSwitch, 8);
   g.add_edge(gpu, s0, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(s0, s1, LinkKind::kEthernet, 100 * units::Gbps);
-  const auto ranked =
-      rank_aggregation_switches(g, {gpu}, topo::PathConstraints{}, 5);
+  const auto ranked = rank_aggregation_switches(topo::Routes(g), {gpu}, 5);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_EQ(ranked[0], s1);
 }

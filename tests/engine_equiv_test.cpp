@@ -37,11 +37,12 @@ FlowScript make_script(const topo::Graph& g, std::uint64_t seed) {
   FlowScript script;
   const auto gpus = g.gpus();
   Rng rng(seed);
+  const topo::Routes routes(g);
   for (int i = 0; i < 40; ++i) {
     const topo::NodeId src = gpus[rng.uniform_int(gpus.size())];
     topo::NodeId dst = gpus[rng.uniform_int(gpus.size())];
     if (src == dst) continue;
-    auto p = topo::shortest_path(g, src, dst);
+    auto p = routes.path(src, dst);
     if (!p || p->empty()) continue;
     FlowScript::Entry e;
     e.at = rng.uniform(0.0, raw(200.0 * units::us));

@@ -37,7 +37,7 @@ Graph two_hop_graph(Time hop_latency = 0.0) {
 }
 
 Path path_of(const Graph& g, std::string_view src, std::string_view dst) {
-  auto p = topo::shortest_path(g, g.find(src), g.find(dst));
+  auto p = topo::Routes(g).path(g.find(src), g.find(dst));
   EXPECT_TRUE(p.has_value());
   return *p;
 }
@@ -372,12 +372,13 @@ TEST(FlowNetwork, ManyRandomFlowsAllComplete) {
   Rng rng(99);
   int completed = 0;
   const int total = 60;
+  const topo::Routes routes(f.graph);
   for (int i = 0; i < total; ++i) {
     const NodeId src = gpus[rng.uniform_int(gpus.size())];
     NodeId dst = gpus[rng.uniform_int(gpus.size())];
     if (src == dst) dst = gpus[(rng.uniform_int(gpus.size() - 1) + 1 +
                                 (src - gpus[0])) % gpus.size()];
-    auto p = topo::shortest_path(f.graph, src, dst);
+    auto p = routes.path(src, dst);
     if (!p || p->empty()) {
       ++completed;  // same node; nothing to move
       continue;

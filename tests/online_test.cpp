@@ -153,8 +153,7 @@ TEST(PolicyTable, SyncCostsFromNetworkUsesMeasuredUtilization) {
   PolicyTable table(std::move(f.policies), f.graph);
 
   // Saturate the left route.
-  auto p = topo::shortest_path(f.graph, f.graph.find("a"),
-                               f.graph.find("b"));
+  auto p = topo::Routes(f.graph).path(f.graph.find("a"), f.graph.find("b"));
   ASSERT_TRUE(p.has_value());
   network.start_transfer(*p, 100.0 * units::MB, {});
   simulator.run_until(10.0 * units::us);
@@ -174,7 +173,7 @@ TEST(BuildPolicies, HeroGetsHierarchicalInaAndRing) {
 
   PolicyBuildOptions opts;
   opts.switch_candidates = 2;
-  const auto policies = build_policies(g, members, opts);
+  const auto policies = build_policies(topo::Routes(g), members, opts);
   ASSERT_EQ(policies.size(), 3u);  // 2 INA switches + hier-ring
   int ina = 0, ring = 0;
   for (const Policy& p : policies) {
@@ -195,9 +194,11 @@ TEST(BuildPolicies, HomogeneousIsFlatEthernet) {
   PolicyBuildOptions opts;
   opts.heterogeneous = false;
   opts.include_ina = false;
+  const topo::Routes ethernet(
+      g, topo::PathOptions{.constraints = {.allow_nvlink = false}});
   const auto gpus = g.gpus();
   const auto policies =
-      build_policies(g, {gpus[0], gpus[1], gpus[4]}, opts);
+      build_policies(ethernet, {gpus[0], gpus[1], gpus[4]}, opts);
   ASSERT_EQ(policies.size(), 1u);
   EXPECT_TRUE(policies[0].plan.local_groups.empty());
   EXPECT_EQ(policies[0].plan.scheme, coll::Scheme::kRing);
@@ -208,7 +209,19 @@ TEST(BuildPolicies, HomogeneousIsFlatEthernet) {
 
 TEST(BuildPolicies, EmptyGroupThrows) {
   const topo::Graph g = topo::make_testbed();
-  EXPECT_THROW(build_policies(g, {}, {}), std::invalid_argument);
+  EXPECT_THROW(build_policies(topo::Routes(g), {}, {}), std::invalid_argument);
+}
+
+TEST(BuildPolicies, RoutesMustMatchHeterogeneity) {
+  const topo::Graph g = topo::make_testbed();
+  const std::vector<NodeId> members = g.gpus_by_server()[0];
+  PolicyBuildOptions homogeneous;
+  homogeneous.heterogeneous = false;
+  EXPECT_THROW(build_policies(topo::Routes(g), members, homogeneous),
+               std::invalid_argument);
+  const topo::Routes ethernet(
+      g, topo::PathOptions{.constraints = {.allow_nvlink = false}});
+  EXPECT_THROW(build_policies(ethernet, members, {}), std::invalid_argument);
 }
 
 // --- scheduler ---
@@ -224,7 +237,7 @@ TEST(OnlineScheduler, PlanStampsBytesAndUpdatesCosts) {
   OnlineScheduler sched(f.network);
   const auto by_server = f.graph.gpus_by_server();
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, by_server[0], {}));
+      "g", build_policies(topo::Routes(f.graph), by_server[0], {}));
   const coll::AllReducePlan plan = sched.plan_all_reduce(gid, 4 * units::MB);
   EXPECT_DOUBLE_EQ(raw(plan.bytes), raw(4 * units::MB));
   std::uint64_t selections = 0;
@@ -244,7 +257,7 @@ TEST(OnlineScheduler, RepeatedLoadRotatesAwayFromHotPolicy) {
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, members, {}));
+      "g", build_policies(topo::Routes(f.graph), members, {}));
   std::set<std::string> used;
   for (int i = 0; i < 50; ++i) {
     (void)sched.plan_all_reduce(gid, 64 * units::MB);
@@ -264,7 +277,7 @@ TEST(OnlineScheduler, ControllerTickRecalibratesCosts) {
   OnlineScheduler sched(f.network, cfg);
   const auto by_server = f.graph.gpus_by_server();
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, by_server[0], {}));
+      "g", build_policies(topo::Routes(f.graph), by_server[0], {}));
   // Inflate costs artificially; the controller resets them from (idle)
   // network measurements.
   sched.apply_cost_override(gid, 0, 99.0);
@@ -280,7 +293,7 @@ TEST(OnlineScheduler, ControllerDelayDefersEq17) {
   OnlineScheduler sched(f.network, cfg);
   const auto by_server = f.graph.gpus_by_server();
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, by_server[0], {}));
+      "g", build_policies(topo::Routes(f.graph), by_server[0], {}));
   (void)sched.plan_all_reduce(gid, 64 * units::MB);
   double cost_now = 0;
   for (std::size_t i = 0; i < sched.table(gid).size(); ++i) {

@@ -1,8 +1,11 @@
 // Tests for shortest paths, routing constraints (the GPU-relay rule), path
-// latency math — including the paper's Fig. 2 numbers — and the PathStore.
+// latency math — including the paper's Fig. 2 numbers — and the Routes
+// memo (order independence, laziness, bounds).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "topology/builders.hpp"
@@ -26,7 +29,7 @@ Graph line_graph() {
 
 TEST(ShortestPath, FindsLine) {
   const Graph g = line_graph();
-  const auto p = shortest_path(g, g.find("g0"), g.find("g1"));
+  const auto p = Routes(g).path(g.find("g0"), g.find("g1"));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->hops(), 3u);
   EXPECT_EQ(p->src(), g.find("g0"));
@@ -36,14 +39,14 @@ TEST(ShortestPath, FindsLine) {
 
 TEST(ShortestPath, SameNodeIsEmptyPath) {
   const Graph g = line_graph();
-  const auto p = shortest_path(g, g.find("g0"), g.find("g0"));
+  const auto p = Routes(g).path(g.find("g0"), g.find("g0"));
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(p->empty());
 }
 
 TEST(ShortestPath, StoreAndForwardLatency) {
   const Graph g = line_graph();
-  const auto p = shortest_path(g, g.find("g0"), g.find("g1"));
+  const auto p = Routes(g).path(g.find("g0"), g.find("g1"));
   // 3 hops x (1MB / 12.5GB/s + 1us) = 3 x 81us.
   EXPECT_NEAR(raw(p->latency(g, 1.0 * units::MB)),
               raw(3 * 81.0 * units::us),
@@ -57,7 +60,7 @@ TEST(ShortestPath, BottleneckBandwidth) {
   const NodeId b = g.add_gpu("b", GpuModel::kA100_40, 1, 1);
   g.add_edge(a, s, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(s, b, LinkKind::kEthernet, 25 * units::Gbps);
-  const auto p = shortest_path(g, a, b);
+  const auto p = Routes(g).path(a, b);
   EXPECT_DOUBLE_EQ(raw(p->bottleneck(g)), raw(25 * units::Gbps));
 }
 
@@ -67,7 +70,7 @@ TEST(ShortestPath, UnreachableReturnsNullopt) {
   const NodeId b = g.add_gpu("b", GpuModel::kA100_40, 1, 1);
   (void)b;
   g.add_gpu("c", GpuModel::kA100_40, 1, 2);
-  EXPECT_FALSE(shortest_path(g, a, b).has_value());
+  EXPECT_FALSE(Routes(g).path(a, b).has_value());
 }
 
 TEST(ShortestPath, EthernetOnlyConstraintExcludesNvlink) {
@@ -77,8 +80,8 @@ TEST(ShortestPath, EthernetOnlyConstraintExcludesNvlink) {
   g.add_edge(a, b, LinkKind::kNvLink, 600 * units::GBps);
   PathOptions opts;
   opts.constraints.allow_nvlink = false;
-  EXPECT_FALSE(shortest_path(g, a, b, opts).has_value());
-  EXPECT_TRUE(shortest_path(g, a, b).has_value());
+  EXPECT_FALSE(Routes(g, opts).path(a, b).has_value());
+  EXPECT_TRUE(Routes(g).path(a, b).has_value());
 }
 
 TEST(ShortestPath, ServersNeverRelay) {
@@ -89,9 +92,9 @@ TEST(ShortestPath, ServersNeverRelay) {
   const NodeId g1 = g.add_gpu("g1", GpuModel::kA100_40, 1, 1);
   g.add_edge(g0, ps, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(ps, g1, LinkKind::kEthernet, 100 * units::Gbps);
-  EXPECT_FALSE(shortest_path(g, g0, g1).has_value());
+  EXPECT_FALSE(Routes(g).path(g0, g1).has_value());
   // But the server itself is reachable as an endpoint.
-  EXPECT_TRUE(shortest_path(g, g0, ps).has_value());
+  EXPECT_TRUE(Routes(g).path(g0, ps).has_value());
 }
 
 TEST(ShortestPath, GpuRelayRequiresNvlinkSide) {
@@ -107,13 +110,13 @@ TEST(ShortestPath, GpuRelayRequiresNvlinkSide) {
   g.add_edge(s0, gx, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(gx, s1, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(s1, g1, LinkKind::kEthernet, 100 * units::Gbps);
-  EXPECT_FALSE(shortest_path(g, g0, g1).has_value());
+  EXPECT_FALSE(Routes(g).path(g0, g1).has_value());
 }
 
 TEST(ShortestPath, NvlinkForwardingAllowed) {
   // Fig. 2(b): GN1 -> (NVLink) GN2 -> S2 is a legal relay.
   const Graph g = make_fig2_example();
-  const auto p = shortest_path(g, g.find("GN1"), g.find("S2"));
+  const auto p = Routes(g).path(g.find("GN1"), g.find("S2"));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->hops(), 2u);
   EXPECT_TRUE(p->uses_nvlink(g));
@@ -126,7 +129,7 @@ TEST(Fig2, HomogeneousCollectionIs160us) {
   const Graph g = make_fig2_example();
   PathOptions opts;
   opts.constraints.allow_nvlink = false;
-  const auto p = shortest_path(g, g.find("GN1"), g.find("S1"), opts);
+  const auto p = Routes(g, opts).path(g.find("GN1"), g.find("S1"));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->hops(), 2u);
   EXPECT_NEAR(raw(p->latency(g, 1.0 * units::MB)),
@@ -138,7 +141,7 @@ TEST(Fig2, HeterogeneousCollectionIs90us) {
   // NVLink forwarding reaches access switch S2 in one Ethernet hop:
   // ~43% lower than homogeneous (paper: ~90 us vs ~160 us).
   const Graph g = make_fig2_example();
-  const auto p = shortest_path(g, g.find("GN1"), g.find("S2"));
+  const auto p = Routes(g).path(g.find("GN1"), g.find("S2"));
   ASSERT_TRUE(p.has_value());
   const Time hetero = p->latency(g, 1.0 * units::MB);
   EXPECT_LT(hetero, 95.0 * units::us);
@@ -152,14 +155,15 @@ TEST(NvlinkDirect, AllowsSingleHopNvlinkWithoutForwarding) {
   PathOptions opts;
   opts.constraints.allow_nvlink = false;
   opts.constraints.allow_nvlink_direct = true;
+  const Routes routes(g, opts);
   // GN1 -> GN2: the direct NVLink edge.
-  const auto direct = shortest_path(g, g.find("GN1"), g.find("GN2"), opts);
+  const auto direct = routes.path(g.find("GN1"), g.find("GN2"));
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(direct->hops(), 1u);
   EXPECT_TRUE(direct->uses_nvlink(g));
   // GN1 -> S2 must NOT go through GN2's NIC: 3 Ethernet hops instead of
   // the heterogeneous 2-hop NVLink detour.
-  const auto to_s2 = shortest_path(g, g.find("GN1"), g.find("S2"), opts);
+  const auto to_s2 = routes.path(g.find("GN1"), g.find("S2"));
   ASSERT_TRUE(to_s2.has_value());
   EXPECT_FALSE(to_s2->uses_nvlink(g));
 }
@@ -177,19 +181,34 @@ TEST(NvlinkDirect, PrefersCheaperOfDirectAndEthernet) {
   PathOptions opts;
   opts.constraints.allow_nvlink = false;
   opts.constraints.allow_nvlink_direct = true;
-  const auto p = shortest_path(g, a, b, opts);
+  const auto p = Routes(g, opts).path(a, b);
   ASSERT_TRUE(p.has_value());
   EXPECT_FALSE(p->uses_nvlink(g));
 }
 
-TEST(NvlinkDirect, PathStoreAppliesOverride) {
-  const Graph g = make_fig2_example();
+TEST(NvlinkDirect, RoutesAppliesOverride) {
+  // Both ends of every testbed NVLink edge get that one-hop route under
+  // Ethernet-only constraints, and latency() prices that route.
+  const Graph g = make_testbed();
   PathOptions opts;
   opts.constraints.allow_nvlink = false;
   opts.constraints.allow_nvlink_direct = true;
-  const PathStore store(g, g.gpus(), opts);
-  EXPECT_EQ(store.path(g.find("GN1"), g.find("GN2")).hops(), 1u);
-  EXPECT_TRUE(store.path(g.find("GN1"), g.find("GN2")).uses_nvlink(g));
+  const Routes routes(g, opts);
+  std::size_t nvlinks = 0;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(e);
+    if (edge.kind != LinkKind::kNvLink) continue;
+    ++nvlinks;
+    for (const auto& [a, b] :
+         {std::pair{edge.a, edge.b}, std::pair{edge.b, edge.a}}) {
+      const auto p = routes.path(a, b);
+      ASSERT_TRUE(p.has_value()) << a << " -> " << b;
+      ASSERT_EQ(p->edges.size(), 1u) << a << " -> " << b;
+      EXPECT_EQ(p->edges[0], e) << a << " -> " << b;
+      EXPECT_EQ(routes.latency(a, b, units::MB), p->latency(g, units::MB));
+    }
+  }
+  EXPECT_GT(nvlinks, 0u);
 }
 
 TEST(AlternatePaths, ReturnsDistinctRoutes) {
@@ -203,7 +222,8 @@ TEST(AlternatePaths, ReturnsDistinctRoutes) {
   g.add_edge(s0, b, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(a, s1, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(s1, b, LinkKind::kEthernet, 100 * units::Gbps);
-  const auto alts = alternate_paths(g, a, b, 3);
+  const Routes routes(g);
+  const auto& alts = routes.alternates(a, b);
   ASSERT_EQ(alts.size(), 2u);
   EXPECT_NE(alts[0].edges, alts[1].edges);
 }
@@ -211,111 +231,156 @@ TEST(AlternatePaths, ReturnsDistinctRoutes) {
 TEST(AlternatePaths, FirstIsShortest) {
   const Graph g = make_testbed();
   const auto gpus = g.gpus();
-  const auto alts = alternate_paths(g, gpus[0], gpus[5], 3);
+  const Routes routes(g);
+  const auto& alts = routes.alternates(gpus[0], gpus[5]);
   ASSERT_FALSE(alts.empty());
-  const auto direct = shortest_path(g, gpus[0], gpus[5]);
+  const auto direct = routes.path(gpus[0], gpus[5]);
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(alts[0].edges, direct->edges);
 }
 
-TEST(AlternatePaths, ZeroKReturnsEmpty) {
-  const Graph g = line_graph();
-  EXPECT_TRUE(alternate_paths(g, g.find("g0"), g.find("g1"), 0).empty());
+TEST(AlternatePaths, UnreachableIsEmpty) {
+  Graph g;
+  const NodeId a = g.add_gpu("a", GpuModel::kA100_40, 1, 0);
+  const NodeId b = g.add_gpu("b", GpuModel::kA100_40, 1, 1);
+  EXPECT_TRUE(Routes(g).alternates(a, b).empty());
 }
 
-TEST(PathStore, MatchesSinglePairQueries) {
-  const Graph g = make_testbed();
-  std::vector<NodeId> terminals = g.gpus();
-  for (NodeId sw : g.switches()) terminals.push_back(sw);
-  const PathStore store(g, terminals);
-  for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 6; ++j) {
-      const auto single = shortest_path(g, terminals[i], terminals[j]);
-      ASSERT_TRUE(single.has_value());
-      EXPECT_NEAR(raw(store.latency(terminals[i], terminals[j],
-                                    1 * units::MB)),
-                  raw(single->latency(g, 1 * units::MB)),
-                  raw(2 * units::us))
-          << "pair " << i << "," << j;
-    }
-  }
+/// Both constraint modes the code uses: heterogeneous, and Ethernet-only
+/// plus the direct intra-server NVLink edge (the homogeneous planner).
+std::vector<PathOptions> both_modes() {
+  PathOptions hetero;
+  PathOptions homo;
+  homo.constraints = PathConstraints{/*allow_nvlink=*/false,
+                                     /*allow_nvlink_direct=*/true};
+  return {hetero, homo};
 }
 
-TEST(PathStore, SelfPathIsEmpty) {
-  const Graph g = line_graph();
-  const PathStore store(g, g.gpus());
-  EXPECT_TRUE(store.path(g.find("g0"), g.find("g0")).empty());
-  EXPECT_DOUBLE_EQ(raw(store.latency(g.find("g0"), g.find("g0"), 1e6)),
-                   raw(0.0));
+Graph small_fleet() {
+  FleetClusterOptions opts;
+  opts.racks = 2;
+  opts.servers_per_rack = 2;
+  opts.gpus_per_server = 4;
+  return make_fleet_cluster(opts);
 }
 
-TEST(PathStore, NonTerminalThrows) {
-  const Graph g = line_graph();
-  const PathStore store(g, g.gpus());
-  EXPECT_THROW((void)store.path(g.find("g0"), g.find("s0")),
-               std::out_of_range);
-}
-
-TEST(PathOracle, MatchesSinglePairQueriesExactly) {
-  // The oracle must be a pure memoization of shortest_path: identical node
-  // and edge sequences for every pair, under both constraint regimes
-  // (including the homogeneous direct-NVLink override).
-  const Graph g = make_testbed();
-  for (const bool hetero : {true, false}) {
-    PathOptions opts;
-    opts.constraints =
-        PathConstraints{hetero, true, /*allow_nvlink_direct=*/!hetero};
-    const PathOracle oracle(g, opts);
-    for (NodeId a = 0; a < g.node_count(); ++a) {
-      for (NodeId b = 0; b < g.node_count(); ++b) {
-        const auto direct = shortest_path(g, a, b, opts);
-        const auto cached = oracle.path(a, b);
-        ASSERT_EQ(direct.has_value(), cached.has_value())
-            << a << " -> " << b;
-        if (!direct) continue;
-        EXPECT_EQ(direct->nodes, cached->nodes) << a << " -> " << b;
-        EXPECT_EQ(direct->edges, cached->edges) << a << " -> " << b;
-        EXPECT_EQ(direct->latency(g, units::MiB),
-                  oracle.latency(a, b, units::MiB));
+TEST(Routes, SharedMemoMatchesFreshQueries) {
+  // One Routes answering every pair in a shuffled order must agree exactly
+  // with a fresh Routes per query: the memo never leaks query order.
+  for (const Graph& g : {make_testbed(), small_fleet()}) {
+    for (const PathOptions& opts : both_modes()) {
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      for (NodeId a = 0; a < g.node_count(); ++a) {
+        for (NodeId b = 0; b < g.node_count(); ++b) pairs.emplace_back(a, b);
+      }
+      Rng rng(11);
+      rng.shuffle(pairs);
+      const Routes shared(g, opts);
+      for (const auto& [a, b] : pairs) {
+        const auto cached = shared.path(a, b);
+        const auto fresh = Routes(g, opts).path(a, b);
+        ASSERT_EQ(cached.has_value(), fresh.has_value()) << a << " -> " << b;
+        if (fresh) {
+          EXPECT_EQ(cached->nodes, fresh->nodes) << a << " -> " << b;
+          EXPECT_EQ(cached->edges, fresh->edges) << a << " -> " << b;
+        }
+        EXPECT_EQ(shared.latency(a, b, units::MiB),
+                  Routes(g, opts).latency(a, b, units::MiB));
+        const auto& alts = shared.alternates(a, b);
+        const Routes fresh_routes(g, opts);
+        const auto& fresh_alts = fresh_routes.alternates(a, b);
+        ASSERT_EQ(alts.size(), fresh_alts.size()) << a << " -> " << b;
+        for (std::size_t i = 0; i < alts.size(); ++i) {
+          EXPECT_EQ(alts[i].edges, fresh_alts[i].edges) << a << " -> " << b;
+        }
       }
     }
   }
 }
 
-TEST(PathOracle, SolvesEachSourceOnce) {
+TEST(Routes, LatencyMatchesPathLatency) {
+  // latency() is path()'s Eq. 10 latency for every GPU/switch pair, in both
+  // constraint modes and at more than one transfer size.
   const Graph g = make_testbed();
-  const PathOracle oracle(g);
-  EXPECT_EQ(oracle.sources_solved(), 0u);
-  const NodeId src = g.gpus()[0];
-  for (NodeId sw : g.switches()) (void)oracle.path(src, sw);
-  EXPECT_EQ(oracle.sources_solved(), 1u);
-  (void)oracle.path(g.gpus()[1], g.switches()[0]);
-  EXPECT_EQ(oracle.sources_solved(), 2u);
+  std::vector<NodeId> terminals = g.gpus();
+  for (NodeId sw : g.switches()) terminals.push_back(sw);
+  for (const PathOptions& opts : both_modes()) {
+    const Routes routes(g, opts);
+    for (const Bytes bytes : {1.0 * units::MB, 64.0 * units::MiB}) {
+      for (const NodeId a : terminals) {
+        for (const NodeId b : terminals) {
+          const auto p = routes.path(a, b);
+          if (!p) {
+            EXPECT_TRUE(std::isinf(raw(routes.latency(a, b, bytes))));
+            continue;
+          }
+          EXPECT_EQ(routes.latency(a, b, bytes), p->latency(g, bytes))
+              << a << " -> " << b;
+        }
+      }
+    }
+  }
 }
 
-TEST(PathOracle, UnreachableLatencyIsInfinite) {
-  // Ethernet-forbidden: a cross-server pair has no route.
+TEST(Routes, SelfPathIsEmpty) {
+  // Every node reaches itself by the empty path at zero cost, in both
+  // constraint modes.
   const Graph g = make_testbed();
-  PathOptions opts;
-  opts.constraints.allow_ethernet = false;
-  const PathOracle oracle(g, opts);
-  const auto gpus = g.gpus();
-  const NodeId far = gpus.back();  // different server than gpus[0]
-  ASSERT_NE(g.node(gpus[0]).gpu.server, g.node(far).gpu.server);
-  EXPECT_FALSE(oracle.path(gpus[0], far).has_value());
-  EXPECT_TRUE(std::isinf(raw(oracle.latency(gpus[0], far, units::MiB))));
+  for (const PathOptions& opts : both_modes()) {
+    const Routes routes(g, opts);
+    for (NodeId n = 0; n < g.node_count(); ++n) {
+      const auto p = routes.path(n, n);
+      ASSERT_TRUE(p.has_value()) << n;
+      EXPECT_TRUE(p->empty()) << n;
+      EXPECT_DOUBLE_EQ(raw(routes.latency(n, n, 1e6)), raw(0.0)) << n;
+    }
+  }
 }
 
-TEST(PathStore, RespectsResidualBandwidth) {
+TEST(Routes, OutOfRangeNodeThrows) {
   const Graph g = line_graph();
-  std::vector<Bandwidth> residual(g.edge_count(), 100 * units::Gbps);
-  residual[1] = 10 * units::Gbps;  // congested middle hop
+  const Routes routes(g);
+  const auto n = static_cast<NodeId>(g.node_count());
+  EXPECT_THROW((void)routes.path(n, 0), std::out_of_range);
+  EXPECT_THROW((void)routes.path(0, n), std::out_of_range);
+  EXPECT_THROW((void)routes.latency(n, 0, units::MB), std::out_of_range);
+  EXPECT_THROW((void)routes.latency(0, kInvalidNode, units::MB),
+               std::out_of_range);
+  EXPECT_THROW((void)routes.alternates(n, 0), std::out_of_range);
+  EXPECT_THROW((void)routes.alternates(0, n), std::out_of_range);
+  EXPECT_EQ(routes.sources_solved(), 0u);
+}
+
+TEST(Routes, SolvesEachSourceOnce) {
+  const Graph g = make_testbed();
+  const Routes routes(g);
+  EXPECT_EQ(routes.sources_solved(), 0u);  // construction solves nothing
+  const NodeId src = g.gpus()[0];
+  for (NodeId sw : g.switches()) (void)routes.path(src, sw);
+  EXPECT_EQ(routes.sources_solved(), 1u);
+  // Repeats, latencies and the alternates' unpenalized round all reuse it.
+  for (NodeId sw : g.switches()) {
+    (void)routes.path(src, sw);
+    (void)routes.latency(src, sw, units::MiB);
+    (void)routes.alternates(src, sw);
+    (void)routes.alternates(src, sw);
+  }
+  EXPECT_EQ(routes.sources_solved(), 1u);
+  (void)routes.path(g.gpus()[1], g.switches()[0]);
+  EXPECT_EQ(routes.sources_solved(), 2u);
+}
+
+TEST(Routes, UnreachableLatencyIsInfinite) {
+  // Two GPUs joined only by NVLink: no route once NVLink is forbidden.
+  Graph g;
+  const NodeId a = g.add_gpu("a", GpuModel::kA100_40, 1, 0);
+  const NodeId b = g.add_gpu("b", GpuModel::kA100_40, 1, 0);
+  g.add_edge(a, b, LinkKind::kNvLink, 600 * units::GBps);
   PathOptions opts;
-  opts.residual_bw = residual;
-  const PathStore store(g, g.gpus(), opts);
-  const Time t = store.latency(g.find("g0"), g.find("g1"), 1.0 * units::MB);
-  // 80us + 800us + 80us + 3us hop latencies.
-  EXPECT_NEAR(raw(t), raw(963.0 * units::us), raw(1.0 * units::us));
+  opts.constraints.allow_nvlink = false;
+  const Routes routes(g, opts);
+  EXPECT_FALSE(routes.path(a, b).has_value());
+  EXPECT_TRUE(std::isinf(raw(routes.latency(a, b, units::MiB))));
 }
 
 /// Property: on random pure-switch graphs Dijkstra's latencies satisfy the
@@ -344,17 +409,17 @@ TEST_P(RandomGraphTest, MetricProperties) {
                  rng.uniform(10, 100) * units::Gbps);
     }
   }
-  const PathStore store(g, nodes);
+  const Routes routes(g);
   const Bytes bytes = 1.0 * units::MB;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      const Time dij = store.latency(nodes[i], nodes[j], bytes);
+      const Time dij = routes.latency(nodes[i], nodes[j], bytes);
       EXPECT_NEAR(raw(dij),
-                  raw(store.latency(nodes[j], nodes[i], bytes)),
+                  raw(routes.latency(nodes[j], nodes[i], bytes)),
                   1e-12);
       for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_LE(dij, store.latency(nodes[i], nodes[k], bytes) +
-                           store.latency(nodes[k], nodes[j], bytes) + 1e-12);
+        EXPECT_LE(dij, routes.latency(nodes[i], nodes[k], bytes) +
+                           routes.latency(nodes[k], nodes[j], bytes) + 1e-12);
       }
     }
   }

@@ -44,7 +44,8 @@ struct Fixture {
 
 TEST(Primitives, AllGatherRingTiming) {
   Fixture f;
-  const coll::Router route = coll::shortest_path_router(f.graph);
+  const topo::Routes routes(f.graph);
+  const coll::Router route = coll::shortest_path_router(routes);
   auto plan = coll::make_ring_primitive(PrimitiveKind::kAllGather,
                                         f.graph.gpus(), 4.0 * units::MB,
                                         route);
@@ -61,7 +62,8 @@ TEST(Primitives, AllGatherRingTiming) {
 
 TEST(Primitives, ReduceScatterEqualsAllGatherOnWire) {
   Fixture f;
-  const coll::Router route = coll::shortest_path_router(f.graph);
+  const topo::Routes routes(f.graph);
+  const coll::Router route = coll::shortest_path_router(routes);
   Time ag = -1, rs = -1;
   coll::run_primitive(
       *f.engine,
@@ -80,7 +82,8 @@ TEST(Primitives, ReduceScatterEqualsAllGatherOnWire) {
 
 TEST(Primitives, BroadcastWaitsForSlowestReceiver) {
   Fixture f;
-  const coll::Router route = coll::shortest_path_router(f.graph);
+  const topo::Routes routes(f.graph);
+  const coll::Router route = coll::shortest_path_router(routes);
   auto plan = coll::make_broadcast_plan(f.graph.gpus(), 1.0 * units::MB,
                                         route);
   Time latency = -1;
@@ -95,7 +98,8 @@ TEST(Primitives, BroadcastWaitsForSlowestReceiver) {
 
 TEST(Primitives, DegenerateCasesCompleteImmediately) {
   Fixture f;
-  const coll::Router route = coll::shortest_path_router(f.graph);
+  const topo::Routes routes(f.graph);
+  const coll::Router route = coll::shortest_path_router(routes);
   Time latency = -1;
   coll::run_primitive(
       *f.engine,
@@ -108,7 +112,8 @@ TEST(Primitives, DegenerateCasesCompleteImmediately) {
 
 TEST(Primitives, RingBuilderRejectsBroadcast) {
   Fixture f;
-  const coll::Router route = coll::shortest_path_router(f.graph);
+  const topo::Routes routes(f.graph);
+  const coll::Router route = coll::shortest_path_router(routes);
   EXPECT_THROW(coll::make_ring_primitive(PrimitiveKind::kBroadcast,
                                          f.graph.gpus(), 1.0, route),
                std::invalid_argument);

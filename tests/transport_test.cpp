@@ -292,7 +292,7 @@ TEST(PcieMode, HeterogeneousRoutingStillWorks) {
   topo::LinkSpec links;
   links.intra_link = topo::IntraLink::kPcie;
   const topo::Graph g = topo::make_fig2_example(links);
-  const auto p = topo::shortest_path(g, g.find("GN1"), g.find("S2"));
+  const auto p = topo::Routes(g).path(g.find("GN1"), g.find("S2"));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->hops(), 2u);
   EXPECT_TRUE(p->uses_nvlink(g));
