@@ -91,9 +91,9 @@ Cell run_cell(SystemKind kind, const ChaosScenario& scenario) {
   if (scenario.plan != nullptr) cfg.fault_plan = scenario.plan();
 
   Cell cell;
-  const ExperimentResult r = run_experiment(kind, cfg);
+  const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
   cell.ok = r.ok();
-  if (r.ok()) cell.report = r.report;
+  if (r.ok()) cell.report = r.report.aggregate;
   return cell;
 }
 

@@ -56,13 +56,16 @@ Cell run_cell(SystemKind kind) {
   // its planner dares to admit.
   cfg.serving.decode_batch_limit = 16;
 
-  const ExperimentResult r = run_experiment(kind, cfg);
+  const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
+  const serve::ServingReport& rep = r.report.aggregate;
   Cell cell;
-  cell.kv_avg = r.report.kv_utilization_avg;
-  cell.kv_peak = r.report.kv_utilization_peak;
-  cell.tpot_p90 = r.report.tpot.p90();
-  cell.completed = r.report.completed;
-  cell.timeline = r.report.kv_timeline;
+  cell.kv_avg = rep.kv_utilization_avg;
+  cell.kv_peak = rep.kv_utilization_peak;
+  cell.tpot_p90 = rep.tpot.p90();
+  cell.completed = rep.completed;
+  // The fleet aggregate keeps no time series; a fleet of one's occupancy
+  // timeline is its instance's.
+  if (r.ok()) cell.timeline = r.report.per_instance.front().kv_timeline;
   return cell;
 }
 

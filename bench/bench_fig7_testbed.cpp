@@ -66,13 +66,14 @@ Cell run_cell(SystemKind kind, const Scenario& scenario) {
 
   const RateSearchResult search =
       find_max_rate(kind, cfg, scenario.lo, scenario.hi, 0.9, 6);
+  const serve::ServingReport& knee = search.at_max.report.aggregate;
   Cell cell;
   cell.max_rate = search.max_rate;
-  cell.gpus = search.at_max.report.gpus_used;
+  cell.gpus = knee.gpus_used;
   cell.per_gpu = cell.gpus ? search.max_rate / cell.gpus : 0.0;
-  cell.ttft_p90 = search.at_max.report.ttft.p90();
-  cell.tpot_p90 = search.at_max.report.tpot.p90();
-  cell.report = search.at_max.report;
+  cell.ttft_p90 = knee.ttft.p90();
+  cell.tpot_p90 = knee.tpot.p90();
+  cell.report = knee;
   return cell;
 }
 

@@ -70,10 +70,11 @@ Cell run_cell(SystemKind kind, const TrackSetup& setup) {
   const RateSearchResult search = find_max_rate(kind, cfg, 0.1, 6.0, 0.9, 4);
   Cell cell;
   cell.max_rate = search.max_rate;
-  const std::size_t gpus = search.at_max.report.gpus_used;
+  const serve::ServingReport& knee = search.at_max.report.aggregate;
+  const std::size_t gpus = knee.gpus_used;
   cell.per_gpu = gpus ? search.max_rate / gpus : 0.0;
-  cell.ttft_p90 = search.at_max.report.ttft.p90();
-  cell.tpot_p90 = search.at_max.report.tpot.p90();
+  cell.ttft_p90 = knee.ttft.p90();
+  cell.tpot_p90 = knee.tpot.p90();
   return cell;
 }
 

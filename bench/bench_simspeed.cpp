@@ -88,7 +88,8 @@ Outcome run_quickstart() {
   cfg.workload.rate = 2.0;
   cfg.workload.count = scaled(80);
   return timed([&](SimStats& stats) {
-    const ExperimentResult r = run_experiment(SystemKind::kHeroServe, cfg);
+    const FleetExperimentResult r =
+        run_fleet_experiment(SystemKind::kHeroServe, cfg);
     stats = r.sim_stats;
     return r.ok();
   });
@@ -102,7 +103,8 @@ Outcome run_chaos() {
   cfg.min_p_tens = 8;  // cross-server TP: communication on the fault path
   cfg.fault_plan = link_flap_plan();
   return timed([&](SimStats& stats) {
-    const ExperimentResult r = run_experiment(SystemKind::kHeroServe, cfg);
+    const FleetExperimentResult r =
+        run_fleet_experiment(SystemKind::kHeroServe, cfg);
     stats = r.sim_stats;
     return r.ok();
   });

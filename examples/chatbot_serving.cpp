@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv, "chatbot_serving [requests] [--seed N] [--faults plan.json]");
   const std::size_t requests = cli::positional_size(opts, 0, 100);
+  if (requests == 0) cli::bad_positional(opts, 0, "requests must be >= 1");
 
   ExperimentConfig cfg;
   cfg.topology = topo::make_testbed();
@@ -31,7 +32,8 @@ int main(int argc, char** argv) {
   cfg.serving.sla_ttft = 2.5;
   cfg.serving.sla_tpot = 0.15;
   if (!opts.faults_path.empty()) {
-    cfg.fault_plan = faults::load_fault_plan(opts.faults_path);
+    cfg.fault_plan = cli::load_or_exit(
+        [&] { return faults::load_fault_plan(opts.faults_path); });
     std::printf("loaded fault plan %s (%zu events)\n",
                 opts.faults_path.c_str(), cfg.fault_plan.events.size());
   }
@@ -49,8 +51,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{fmt_double(rate, 1)};
     for (SystemKind kind : kAllSystems) {
       cfg.workload.rate = rate;
-      const ExperimentResult r = run_experiment(kind, cfg);
-      row.push_back(r.ok() ? fmt_double(r.report.sla_attainment, 3)
+      const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
+      row.push_back(r.ok() ? fmt_double(r.report.aggregate.sla_attainment, 3)
                            : "plan-fail");
     }
     curve.add_row(row);
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
               "TTFT p90 (s)", "TPOT p90 (s)"});
   for (SystemKind kind : kAllSystems) {
     const RateSearchResult search = find_max_rate(kind, cfg, 0.2, 8.0, 0.9, 7);
-    const auto& rep = search.at_max.report;
+    const serve::ServingReport& rep = search.at_max.report.aggregate;
     knee.add_row({to_string(kind), fmt_double(search.max_rate, 2),
                   fmt_double(rep.gpus_used
                                  ? search.max_rate / rep.gpus_used

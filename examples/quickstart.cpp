@@ -121,6 +121,8 @@ int main(int argc, char** argv) {
       "[--full-solve]");
   const double rate = cli::positional_double(opts, 0, 2.0);
   const std::size_t requests = cli::positional_size(opts, 1, 80);
+  if (!(rate > 0.0)) cli::bad_positional(opts, 0, "rate must be > 0");
+  if (requests == 0) cli::bad_positional(opts, 1, "requests must be >= 1");
 
   ExperimentConfig cfg;
   // --full-solve swaps the incremental max-min engine for the whole-fabric
@@ -136,7 +138,8 @@ int main(int argc, char** argv) {
   cfg.serving.sla_ttft = 2.5;  // chatbot SLA (SV)
   cfg.serving.sla_tpot = 0.15;
   if (!opts.faults_path.empty()) {
-    cfg.fault_plan = faults::load_fault_plan(opts.faults_path);
+    cfg.fault_plan = cli::load_or_exit(
+        [&] { return faults::load_fault_plan(opts.faults_path); });
     std::printf("loaded fault plan %s (%zu events)\n",
                 opts.faults_path.c_str(), cfg.fault_plan.events.size());
   }
@@ -158,31 +161,31 @@ int main(int argc, char** argv) {
     const bool traced =
         !opts.trace_path.empty() && kind == SystemKind::kHeroServe;
     cfg.sink = traced ? obs::Sink(&tracer, &metrics) : obs::Sink();
-    const ExperimentResult r = run_experiment(kind, cfg);
+    const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
     if (!r.ok()) {
       table.add_row({to_string(kind), "infeasible: " +
                                           r.plan.infeasible_reason});
       continue;
     }
-    const auto& p = r.plan;
+    const planner::PlanResult& p = r.plan.instances.front();
+    const serve::ServingReport& rep = r.report.aggregate;
     table.add_row(
         {to_string(kind),
          std::to_string(p.prefill.parallel.p_tens) + "x" +
              std::to_string(p.prefill.parallel.p_pipe) + " | " +
              std::to_string(p.decode.parallel.p_tens) + "x" +
              std::to_string(p.decode.parallel.p_pipe),
-         fmt_double(r.report.ttft.p90(), 3),
-         fmt_double(r.report.tpot.p90(), 4),
-         fmt_double(r.report.sla_attainment, 3),
-         fmt_double(raw(r.report.requests_per_second), 2),
-         fmt_double(r.report.kv_utilization_avg, 3)});
-    if (traced && r.report.trace_checked) {
+         fmt_double(rep.ttft.p90(), 3), fmt_double(rep.tpot.p90(), 4),
+         fmt_double(rep.sla_attainment, 3),
+         fmt_double(raw(rep.requests_per_second), 2),
+         fmt_double(rep.kv_utilization_avg, 3)});
+    if (traced && rep.trace_checked) {
       std::printf(
           "trace cross-check: %llu collectives (engine) vs %llu (tracer) "
           "-> %s\n",
-          static_cast<unsigned long long>(r.report.collectives),
-          static_cast<unsigned long long>(r.report.trace_collectives),
-          r.report.trace_consistent ? "consistent" : "MISMATCH");
+          static_cast<unsigned long long>(rep.collectives),
+          static_cast<unsigned long long>(rep.trace_collectives),
+          rep.trace_consistent ? "consistent" : "MISMATCH");
     }
   }
   table.print();

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
       "[--faults plan.json]");
   const double rate = cli::positional_double(opts, 0, 0.4);
   const std::size_t requests = cli::positional_size(opts, 1, 60);
+  if (!(rate > 0.0)) cli::bad_positional(opts, 0, "rate must be > 0");
+  if (requests == 0) cli::bad_positional(opts, 1, "requests must be >= 1");
 
   topo::TracksOptions topts;
   topts.servers = 18;
@@ -47,7 +49,8 @@ int main(int argc, char** argv) {
   cfg.serving.sla_ttft = 25.0;
   cfg.serving.sla_tpot = 0.2;
   if (!opts.faults_path.empty()) {
-    cfg.fault_plan = faults::load_fault_plan(opts.faults_path);
+    cfg.fault_plan = cli::load_or_exit(
+        [&] { return faults::load_fault_plan(opts.faults_path); });
     std::printf("loaded fault plan %s (%zu events)\n",
                 opts.faults_path.c_str(), cfg.fault_plan.events.size());
   }
@@ -60,23 +63,23 @@ int main(int argc, char** argv) {
   Table table({"system", "plan (TPxPP pre|dec)", "SLA att.", "TTFT p90 (s)",
                "TPOT p90 (s)", "KV util avg", "req/s"});
   for (SystemKind kind : kAllSystems) {
-    const ExperimentResult r = run_experiment(kind, cfg);
+    const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
     if (!r.ok()) {
       table.add_row({to_string(kind),
                      "infeasible: " + r.plan.infeasible_reason});
       continue;
     }
+    const planner::PlanResult& p = r.plan.instances.front();
+    const serve::ServingReport& rep = r.report.aggregate;
     table.add_row(
         {to_string(kind),
-         std::to_string(r.plan.prefill.parallel.p_tens) + "x" +
-             std::to_string(r.plan.prefill.parallel.p_pipe) + " | " +
-             std::to_string(r.plan.decode.parallel.p_tens) + "x" +
-             std::to_string(r.plan.decode.parallel.p_pipe),
-         fmt_double(r.report.sla_attainment, 3),
-         fmt_double(r.report.ttft.p90(), 2),
-         fmt_double(r.report.tpot.p90(), 4),
-         fmt_double(r.report.kv_utilization_avg, 3),
-         fmt_double(raw(r.report.requests_per_second), 3)});
+         std::to_string(p.prefill.parallel.p_tens) + "x" +
+             std::to_string(p.prefill.parallel.p_pipe) + " | " +
+             std::to_string(p.decode.parallel.p_tens) + "x" +
+             std::to_string(p.decode.parallel.p_pipe),
+         fmt_double(rep.sla_attainment, 3), fmt_double(rep.ttft.p90(), 2),
+         fmt_double(rep.tpot.p90(), 4), fmt_double(rep.kv_utilization_avg, 3),
+         fmt_double(raw(rep.requests_per_second), 3)});
   }
   table.print();
   return 0;

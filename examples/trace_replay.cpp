@@ -13,9 +13,7 @@
 #include <cstdio>
 
 #include "common/cli.hpp"
-#include "common/table.hpp"
 #include "core/heroserve.hpp"
-#include "faults/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
@@ -26,66 +24,26 @@ using namespace hero;
 namespace {
 
 void serve_trace(const wl::Trace& trace, const char* label, obs::Sink sink,
-                 const faults::FaultPlan* fault_plan = nullptr) {
-  // run_experiment generates its own trace from TraceOptions; for replay we
-  // drive the pieces directly.
+                 faults::FaultPlan fault_plan = {}) {
   ExperimentConfig cfg;
   cfg.topology = topo::make_testbed();
   cfg.serving.model = llm::opt_66b();
   cfg.serving.sla_ttft = 2.5;
   cfg.serving.sla_tpot = 0.15;
-
-  wl::WorkloadEstimator estimator;
-  for (const wl::Request& r : trace) estimator.observe(r);
+  // The planner sizes the deployment for the trace's own mean rate.
   const wl::TraceStats stats = wl::summarize(trace);
-
-  planner::PlannerInputs in;
-  in.graph = &cfg.topology;
-  in.model = cfg.serving.model;
-  in.latency = &fitted_model(cfg.serving.model);
-  in.batch_q = 8;
-  in.k_in = estimator.k_in(8);
-  in.k_in2 = estimator.k_in2(8);
-  in.k_out = estimator.k_out(8);
-  in.arrival_rate = stats.mean_rate;
-  in.t_sla_prefill = cfg.serving.sla_ttft;
-  in.t_sla_decode = cfg.serving.sla_tpot;
-  planner::OfflinePlanner planner(in);
-  const planner::PlanResult plan = planner.plan();
-  if (!plan.feasible) {
+  cfg.workload.rate = stats.mean_rate;
+  cfg.sink = sink;
+  cfg.fault_plan = std::move(fault_plan);
+  const FleetExperimentResult r =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg, trace);
+  if (!r.ok()) {
     std::printf("%s: planner infeasible: %s\n", label,
-                plan.infeasible_reason.c_str());
+                r.plan.infeasible_reason.c_str());
     return;
   }
 
-  sim::Simulator simulator;
-  simulator.attach(sink);
-  net::FlowNetwork network(simulator, cfg.topology);
-  sw::SwitchRegistry switches(simulator, cfg.topology);
-  coll::CollectiveEngine engine(network, switches);
-  online::HeroCommScheduler scheduler(network);
-
-  serve::ServingOptions serving = cfg.serving;
-  serving.max_sim_time =
-      3600.0 + (trace.empty() ? 0.0 : trace.back().arrival);
-
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (fault_plan != nullptr && !fault_plan->empty()) {
-    faults::FaultInjector::Hooks hooks;
-    hooks.switches = &switches;
-    hooks.online = &scheduler.online();
-    scheduler.online().attach_switches(&switches);
-    injector =
-        std::make_unique<faults::FaultInjector>(network, *fault_plan, hooks);
-    serving.compute_scale = [inj = injector.get()](topo::NodeId g) {
-      return inj->compute_scale(g);
-    };
-    injector->arm();
-  }
-  serve::ClusterSim cluster(network, engine, scheduler, plan, serving);
-  scheduler.start();
-  const serve::ServingReport report = cluster.run(trace);
-
+  const serve::ServingReport& report = r.report.aggregate;
   std::printf(
       "%s: %zu reqs @ %.2f req/s -> attainment %.3f, TTFT p90 %.2fs, "
       "TPOT p90 %.4fs\n",
@@ -113,7 +71,14 @@ int main(int argc, char** argv) {
 
   wl::Trace trace;
   if (!opts.positional.empty()) {
-    trace = wl::load_trace_csv(opts.positional[0].c_str());
+    trace = cli::load_or_exit(
+        [&] { return wl::load_trace_csv(opts.positional[0]); });
+    if (!(wl::summarize(trace).mean_rate > 0.0)) {
+      std::fprintf(stderr,
+                   "error: %s: replay needs >= 2 requests spread in time\n",
+                   opts.positional[0].c_str());
+      return 1;
+    }
     std::printf("loaded %zu requests from %s\n", trace.size(),
                 opts.positional[0].c_str());
   } else {
@@ -129,13 +94,15 @@ int main(int argc, char** argv) {
   }
 
   if (opts.positional.size() > 1) {
-    trace = wl::rescale_rate(std::move(trace),
-                             cli::positional_double(opts, 1, 1.0));
+    const double rate = cli::positional_double(opts, 1, 1.0);
+    if (!(rate > 0.0)) cli::bad_positional(opts, 1, "rate must be > 0");
+    trace = wl::rescale_rate(std::move(trace), rate);
   }
 
   faults::FaultPlan fault_plan;
   if (!opts.faults_path.empty()) {
-    fault_plan = faults::load_fault_plan(opts.faults_path);
+    fault_plan = cli::load_or_exit(
+        [&] { return faults::load_fault_plan(opts.faults_path); });
     std::printf("loaded fault plan %s (%zu events)\n",
                 opts.faults_path.c_str(), fault_plan.events.size());
   }
@@ -147,7 +114,7 @@ int main(int argc, char** argv) {
   serve_trace(trace, "as recorded",
               opts.trace_path.empty() ? obs::Sink()
                                       : obs::Sink(&tracer, &metrics),
-              &fault_plan);
+              std::move(fault_plan));
   if (!opts.trace_path.empty()) {
     if (tracer.write_chrome_trace_file(opts.trace_path.c_str())) {
       std::printf("wrote %zu trace events -> %s (load in ui.perfetto.dev)\n",

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +18,7 @@ namespace {
 
 Options parse_args(int& argc, char** argv, const char* usage) {
   Options opts;
+  opts.usage = usage;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -53,16 +56,37 @@ Options parse_args(int& argc, char** argv, const char* usage) {
   return opts;
 }
 
+void bad_positional(const Options& opts, std::size_t i, const char* why) {
+  std::fprintf(stderr, "bad argument '%s': %s\nusage: %s\n",
+               opts.positional.at(i).c_str(), why, opts.usage);
+  std::exit(1);
+}
+
 double positional_double(const Options& opts, std::size_t i,
                          double fallback) {
   if (i >= opts.positional.size()) return fallback;
-  return std::atof(opts.positional[i].c_str());
+  const std::string& token = opts.positional[i];
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc() || end != token.data() + token.size() ||
+      !std::isfinite(value)) {
+    bad_positional(opts, i, "expected a finite number");
+  }
+  return value;
 }
 
 std::size_t positional_size(const Options& opts, std::size_t i,
                             std::size_t fallback) {
   if (i >= opts.positional.size()) return fallback;
-  return static_cast<std::size_t>(std::atoll(opts.positional[i].c_str()));
+  const std::string& token = opts.positional[i];
+  std::size_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc() || end != token.data() + token.size()) {
+    bad_positional(opts, i, "expected a non-negative integer");
+  }
+  return value;
 }
 
 std::string positional_str(const Options& opts, std::size_t i,

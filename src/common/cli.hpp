@@ -10,13 +10,16 @@
 //   --quick            reduced-size run (smoke-test mode)
 //   --full-solve       whole-fabric max-min each round (equivalence gate)
 //   --help             print the binary's usage string and exit 0
-// — plus positional argument collection. Recognized flags are *removed*
+// — plus strict positional argument parsing. Recognized flags are *removed*
 // from argv (argc is updated) so harnesses can hand the remainder to
 // google-benchmark's Initialize() untouched; unrecognized flags (e.g.
 // --benchmark_filter) pass through.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,7 @@ struct Options {
   bool quick = false;          ///< --quick smoke-test mode
   bool full_solve = false;     ///< --full-solve (incremental-engine check)
   std::vector<std::string> positional;
+  const char* usage = "";      ///< echoed when a positional is rejected
 };
 
 /// Parse and strip the shared flags from argv. On --help prints `usage`
@@ -41,11 +45,30 @@ struct Options {
 [[nodiscard]] Options parse_args(int& argc, char** argv, const char* usage);
 
 /// Positional accessors with defaults (index past the end -> fallback).
+/// The whole token must parse: a finite number for positional_double, a
+/// non-negative integer for positional_size. Anything else is rejected
+/// through bad_positional().
 [[nodiscard]] double positional_double(const Options& opts, std::size_t i,
                                        double fallback);
 [[nodiscard]] std::size_t positional_size(const Options& opts, std::size_t i,
                                           std::size_t fallback);
+/// Print the offending token, `why` and the usage string to stderr, then
+/// exit 1 — also for range checks the caller makes (a rate <= 0, say).
+[[noreturn]] void bad_positional(const Options& opts, std::size_t i,
+                                 const char* why);
 [[nodiscard]] std::string positional_str(const Options& opts, std::size_t i,
                                          std::string fallback = {});
+
+/// Run a file loader; when it throws, print its message on one line to
+/// stderr and exit 1 instead of aborting on the uncaught exception.
+template <typename Load>
+auto load_or_exit(Load&& load) -> decltype(load()) {
+  try {
+    return load();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
+  }
+}
 
 }  // namespace hero::cli

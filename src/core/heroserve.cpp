@@ -42,8 +42,8 @@ const gpu::LatencyModel& fitted_model(const llm::ModelConfig& model) {
 
 namespace {
 
-/// The planner consumes the same experiment fields in both the single-
-/// instance and the fleet pipeline.
+/// The planner inputs an experiment's fields describe, shared by the fleet
+/// planner and the autoscaler.
 planner::PlannerInputs planner_inputs_for(SystemKind kind,
                                           const ExperimentConfig& cfg,
                                           const wl::Trace& trace) {
@@ -101,8 +101,11 @@ std::unique_ptr<coll::CommScheduler> make_scheduler(
   return nullptr;
 }
 
-/// Chaos wiring shared by both pipelines: build + arm the injector and
-/// route its compute-scale hook into `serving`.
+/// Chaos wiring: build + arm the injector and route its compute-scale hook
+/// into `serving`. HeroServe's online scheduler gets the reaction hooks —
+/// switch slot-health feedback at controller ticks, immediate cost
+/// overrides on link faults; baselines feel the raw faults without any
+/// adaptation channel.
 std::unique_ptr<faults::FaultInjector> arm_faults(
     net::FlowNetwork& network, sw::SwitchRegistry& switches,
     const ExperimentConfig& cfg, online::HeroCommScheduler* hero,
@@ -123,12 +126,6 @@ std::unique_ptr<faults::FaultInjector> arm_faults(
   return injector;
 }
 
-void apply_netsim_options(net::FlowNetwork& network,
-                          const ExperimentConfig& cfg) {
-  network.set_full_solve(cfg.netsim.full_solve);
-  if (cfg.netsim.validate_solves) network.set_solve_validation(true);
-}
-
 SimStats collect_sim_stats(const sim::Simulator& simulator,
                            const net::FlowNetwork& network) {
   SimStats stats;
@@ -141,53 +138,6 @@ SimStats collect_sim_stats(const sim::Simulator& simulator,
 }
 
 }  // namespace
-
-ExperimentResult run_experiment(SystemKind kind,
-                                const ExperimentConfig& cfg) {
-  ExperimentResult result;
-  const wl::Trace trace = wl::generate_trace(cfg.workload);
-
-  const planner::PlannerInputs inputs = planner_inputs_for(kind, cfg, trace);
-  planner::OfflinePlanner offline(inputs);
-  result.plan = offline.plan();
-  if (!result.plan.feasible) {
-    log::warn("{}: planner infeasible: {}", to_string(kind),
-              result.plan.infeasible_reason);
-    return result;
-  }
-
-  // Deploy and serve.
-  sim::Simulator simulator;
-  simulator.attach(cfg.sink);
-  net::FlowNetwork network(simulator, cfg.topology);
-  apply_netsim_options(network, cfg);
-  sw::SwitchRegistry switches(simulator, cfg.topology);
-  coll::CollectiveEngine engine(network, switches, cfg.engine);
-
-  online::HeroCommScheduler* hero = nullptr;
-  std::unique_ptr<coll::CommScheduler> scheduler =
-      make_scheduler(kind, network, cfg, &hero);
-
-  serve::ServingOptions serving = cfg.serving;
-  // The abort deadline is a *drain budget* after the last arrival; at low
-  // rates the arrival horizon itself can exceed any fixed wall.
-  serving.max_sim_time =
-      cfg.serving.max_sim_time + (trace.empty() ? 0.0 : trace.back().arrival);
-
-  // Chaos wiring (fault plan present only). HeroServe's online scheduler
-  // gets the reaction hooks — switch slot-health feedback at controller
-  // ticks, immediate cost overrides on link faults; baselines feel the raw
-  // faults without any adaptation channel.
-  std::unique_ptr<faults::FaultInjector> injector =
-      arm_faults(network, switches, cfg, hero, serving);
-
-  serve::ClusterSim cluster(network, engine, *scheduler, result.plan,
-                            serving);
-  scheduler->start();
-  result.report = cluster.run(trace);
-  result.sim_stats = collect_sim_stats(simulator, network);
-  return result;
-}
 
 FleetExperimentResult run_fleet_experiment(SystemKind kind,
                                            const ExperimentConfig& cfg) {
@@ -218,7 +168,7 @@ FleetExperimentResult run_fleet_experiment(SystemKind kind,
   sim::Simulator simulator;
   simulator.attach(cfg.sink);
   net::FlowNetwork network(simulator, cfg.topology);
-  apply_netsim_options(network, cfg);
+  network.set_full_solve(cfg.netsim.full_solve);
   sw::SwitchRegistry switches(simulator, cfg.topology);
   coll::CollectiveEngine engine(network, switches, cfg.engine);
 
@@ -227,6 +177,8 @@ FleetExperimentResult run_fleet_experiment(SystemKind kind,
       make_scheduler(kind, network, cfg, &hero);
 
   serve::ServingOptions serving = cfg.serving;
+  // The abort deadline is a *drain budget* after the last arrival; at low
+  // rates the arrival horizon itself can exceed any fixed wall.
   serving.max_sim_time =
       cfg.serving.max_sim_time + (trace.empty() ? 0.0 : trace.back().arrival);
   std::unique_ptr<faults::FaultInjector> injector =
@@ -272,13 +224,13 @@ RateSearchResult find_max_rate(SystemKind kind, ExperimentConfig cfg,
   RateSearchResult search;
   auto attain = [&](double rate) {
     cfg.workload.rate = rate;
-    ExperimentResult r = run_experiment(kind, cfg);
-    search.samples.emplace_back(rate, r.report.sla_attainment);
+    FleetExperimentResult r = run_fleet_experiment(kind, cfg);
+    search.samples.emplace_back(rate, r.report.aggregate.sla_attainment);
     return r;
   };
 
-  ExperimentResult at_lo = attain(lo);
-  if (at_lo.report.sla_attainment < target) {
+  FleetExperimentResult at_lo = attain(lo);
+  if (at_lo.report.aggregate.sla_attainment < target) {
     // Even the lower bound fails; report zero scalability.
     search.max_rate = 0.0;
     search.at_max = std::move(at_lo);
@@ -287,8 +239,8 @@ RateSearchResult find_max_rate(SystemKind kind, ExperimentConfig cfg,
   search.max_rate = lo;
   search.at_max = std::move(at_lo);
 
-  ExperimentResult at_hi = attain(hi);
-  if (at_hi.report.sla_attainment >= target) {
+  FleetExperimentResult at_hi = attain(hi);
+  if (at_hi.report.aggregate.sla_attainment >= target) {
     search.max_rate = hi;
     search.at_max = std::move(at_hi);
     return search;
@@ -297,8 +249,8 @@ RateSearchResult find_max_rate(SystemKind kind, ExperimentConfig cfg,
   double good = lo, bad = hi;
   for (int i = 0; i < iterations; ++i) {
     const double mid = 0.5 * (good + bad);
-    ExperimentResult r = attain(mid);
-    if (r.report.sla_attainment >= target) {
+    FleetExperimentResult r = attain(mid);
+    if (r.report.aggregate.sla_attainment >= target) {
       good = mid;
       search.max_rate = mid;
       search.at_max = std::move(r);

@@ -3,7 +3,8 @@
 // One-call experiment driver used by the examples and every benchmark
 // harness: configure a topology + model + workload, pick a system
 // (HeroServe or one of the paper's baselines), and run
-//     plan (offline planner) -> deploy -> serve trace -> report.
+//     plan (fleet planner) -> deploy -> serve trace -> report.
+// A single instance is a fleet of one: the same pipeline serves it.
 // Also provides the max-rate search that implements the paper's
 // scalability metric ("the maximum per-GPU rate that the system can handle
 // while satisfying the latency requirements for over 90% of requests").
@@ -47,8 +48,8 @@ struct ExperimentConfig {
   /// limits, KV memory fraction, kernel noise, seed — lives here exactly
   /// once; the planner derives its inputs from the same fields. One twist:
   /// `serving.max_sim_time` is a *drain budget* counted from the last
-  /// arrival (run_experiment adds the arrival horizon before serving), so
-  /// low-rate long traces are not cut off by a fixed wall.
+  /// arrival (run_fleet_experiment adds the arrival horizon before
+  /// serving), so low-rate long traces are not cut off by a fixed wall.
   serve::ServingOptions serving = [] {
     serve::ServingOptions s;
     s.seed = 7;  // experiment-level default, distinct from ClusterSim's 1
@@ -74,21 +75,17 @@ struct ExperimentConfig {
   /// online scheduler; baselines only feel the raw faults.
   faults::FaultPlan fault_plan;
 
-  /// Multi-instance serving (run_fleet_experiment): the consolidated
-  /// serve::FleetConfig — fleet shape, router policy + cost weights, and
-  /// the elastic-autoscaling knobs — lives here exactly once. instances ==
-  /// 1 keeps the config usable with the single-instance run_experiment
-  /// unchanged.
+  /// Fleet shape (run_fleet_experiment): the consolidated
+  /// serve::FleetConfig — instance count, router policy + cost weights, and
+  /// the elastic-autoscaling knobs — lives here exactly once. The default
+  /// instances == 1 serves the paper's single instance as a fleet of one.
   serve::FleetConfig fleet;
 
-  /// Flow-network engine knobs (equivalence gates and validate runs).
+  /// Flow-network engine knobs (equivalence gates).
   struct NetsimOptions {
     /// Whole-fabric max-min solve every round instead of the incremental
     /// dirty-set solve. Output is byte-identical; only speed differs.
     bool full_solve = false;
-    /// Cross-check every incremental round against a full solve (on by
-    /// default in HERO_VALIDATE builds regardless of this flag).
-    bool validate_solves = false;
   };
   NetsimOptions netsim;
 };
@@ -105,22 +102,10 @@ struct SimStats {
   net::FlowNetStats flownet;
 };
 
-struct ExperimentResult {
-  planner::PlanResult plan;
-  serve::ServingReport report;
-  SimStats sim_stats;
-  [[nodiscard]] bool ok() const { return plan.feasible; }
-};
-
 /// Fitted Eq. 12-13 latency model for `model` on the reference A100
 /// (process-lifetime cache; profiling runs once per model).
 [[nodiscard]] const gpu::LatencyModel& fitted_model(
     const llm::ModelConfig& model);
-
-/// Plan + serve one trace under `kind`. When the planner finds no feasible
-/// deployment the report is empty and result.ok() is false.
-[[nodiscard]] ExperimentResult run_experiment(SystemKind kind,
-                                              const ExperimentConfig& cfg);
 
 struct FleetExperimentResult {
   planner::FleetPlan plan;
@@ -129,14 +114,15 @@ struct FleetExperimentResult {
   [[nodiscard]] bool ok() const { return plan.feasible; }
 };
 
-/// Fleet pipeline: FleetPlanner packs cfg.fleet.instances replicas onto
-/// cfg.topology, then FleetSim serves the trace behind the configured
-/// router — one shared simulator/flownet/engine/scheduler (per-instance
-/// policy-table prefixes on HeroServe) and the same fault wiring as
-/// run_experiment. With cfg.fleet.autoscale.enabled a FleetController
-/// ticks alongside the run, scaling the instance count against the
-/// observed arrival rate (report.autoscale carries its stats). ok() is
-/// false when not every starting instance fits.
+/// The serving pipeline: FleetPlanner packs cfg.fleet.instances replicas
+/// onto cfg.topology, then FleetSim serves a wl::generate_trace(cfg.workload)
+/// trace behind the configured router — one shared
+/// simulator/flownet/engine/scheduler (per-instance policy-table prefixes on
+/// HeroServe) with the fault plan armed against it. With
+/// cfg.fleet.autoscale.enabled a FleetController ticks alongside the run,
+/// scaling the instance count against the observed arrival rate
+/// (report.autoscale carries its stats). ok() is false when not every
+/// starting instance fits; the report is then empty.
 [[nodiscard]] FleetExperimentResult run_fleet_experiment(
     SystemKind kind, const ExperimentConfig& cfg);
 
@@ -150,7 +136,7 @@ struct FleetExperimentResult {
 struct RateSearchResult {
   double max_rate = 0.0;  ///< highest rate meeting the attainment target
   std::vector<std::pair<double, double>> samples;  ///< (rate, attainment)
-  ExperimentResult at_max;  ///< full result at max_rate
+  FleetExperimentResult at_max;  ///< full result at max_rate
 };
 
 /// Binary-search the Poisson arrival rate for the highest load at which SLA

@@ -105,6 +105,16 @@ struct ClusterPlan {
   [[nodiscard]] std::vector<topo::NodeId> all_gpus() const;
 };
 
+/// KV pairing rule: sender `i` of `src` streams its KV shard to receiver
+/// `i * dst / src` — prefill GPU to decode GPU within an instance, or
+/// decode GPU to decode GPU for a cross-instance prefix stream. The
+/// planner's T_f estimate, the router's quotes and every simulated KV flow
+/// share this one mapping.
+[[nodiscard]] constexpr std::size_t kv_pair(std::size_t i, std::size_t src,
+                                            std::size_t dst) {
+  return i * dst / src;
+}
+
 struct PlanResult {
   bool feasible = false;
   std::string infeasible_reason;

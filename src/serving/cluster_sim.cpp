@@ -379,7 +379,8 @@ void ClusterSim::start_kv_transfers(PrefillBatch& batch) {
   if (per_gpu <= 0.0 || prefill_gpus_.empty()) return;
   obs::EventTracer* tr = simulator().tracer();
   for (std::size_t i = 0; i < prefill_gpus_.size(); ++i) {
-    const std::size_t j = i * decode_gpus_.size() / prefill_gpus_.size();
+    const std::size_t j =
+        planner::kv_pair(i, prefill_gpus_.size(), decode_gpus_.size());
     const topo::Path path =
         scheduler_->unicast_path(prefill_gpus_[i], decode_gpus_[j]);
     ++batch.barrier;
@@ -615,7 +616,7 @@ LoadSnapshot ClusterSim::load() const {
   return snap;
 }
 
-ServingReport ClusterSim::report(std::size_t expected) const {
+ServingReport ClusterSim::report() const {
   ServingReport report;
   report.submitted = submitted_;
   report.gpus_used = prefill_gpus_.size() + decode_gpus_.size();
@@ -653,9 +654,9 @@ ServingReport ClusterSim::report(std::size_t expected) const {
     }
   }
   report.sla_attainment =
-      expected == 0 ? 0.0
-                    : static_cast<double>(within_sla) /
-                          static_cast<double>(expected);
+      submitted_ == 0 ? 0.0
+                      : static_cast<double>(within_sla) /
+                            static_cast<double>(submitted_);
   report.makespan = last_finish;
   report.requests_per_second =
       last_finish > 0 ? static_cast<double>(report.completed) / last_finish
@@ -680,70 +681,6 @@ std::vector<RetiredSample> ClusterSim::retired_samples() const {
                        ar->first_token - ar->req.arrival, ar->finish});
   }
   return samples;
-}
-
-ServingReport ClusterSim::run(const wl::Trace& trace) {
-  sim::Simulator& sim = simulator();
-  const std::uint64_t ops_before = engine_->ops_completed;
-  const std::uint64_t fb_before = engine_->fallbacks_taken;
-  obs::EventTracer* tr = sim.tracer();
-  const std::uint64_t tr_coll_before =
-      tr ? tr->count("collective", obs::Phase::kAsyncEnd) : 0;
-  const std::uint64_t tr_fb_before =
-      tr ? tr->count("ina_fallback", obs::Phase::kInstant) : 0;
-  begin();
-
-  for (const wl::Request& r : trace) {
-    sim.schedule(r.arrival, [this, r] { submit(r); });
-  }
-
-  while (retired_.size() < trace.size() && sim.now() < opts_.max_sim_time) {
-    if (!sim.step()) break;
-  }
-  if (retired_.size() < trace.size()) {
-    log::warn(
-        "serving run incomplete: t={} retired={}/{} prefill_q={} "
-        "prefill_running={} decode_wait={} decoding={} transfers={} "
-        "pending_events={}",
-        sim.now(), retired_.size(), trace.size(), prefill_queue_.size(),
-        prefill_running_ != nullptr, decode_wait_queue_.size(),
-        decoding_.size(), network_->active_transfers(),
-        sim.pending_events());
-    network_->debug_dump();
-  }
-
-  record_kv(sim.now());
-  ServingReport report = this->report(trace.size());
-  report.collectives = engine_->ops_completed - ops_before;
-  report.ina_fallbacks = engine_->fallbacks_taken - fb_before;
-  if (tr) {
-    // The engine and the tracer count the same completions through
-    // independent paths; a mismatch means instrumentation drift.
-    report.trace_checked = true;
-    report.trace_collectives =
-        tr->count("collective", obs::Phase::kAsyncEnd) - tr_coll_before;
-    report.trace_ina_fallbacks =
-        tr->count("ina_fallback", obs::Phase::kInstant) - tr_fb_before;
-    report.trace_consistent =
-        report.trace_collectives == report.collectives &&
-        report.trace_ina_fallbacks == report.ina_fallbacks;
-    // The engine and tracer count the same completions through independent
-    // paths; under HERO_VALIDATE instrumentation drift is fatal, not a
-    // warning.
-    HERO_INVARIANT(report.trace_consistent,
-                   "engine/tracer drift: {} vs {} collectives, {} vs {} "
-                   "fallbacks",
-                   report.collectives, report.trace_collectives,
-                   report.ina_fallbacks, report.trace_ina_fallbacks);
-    if (!report.trace_consistent) {
-      log::warn(
-          "serving trace cross-check mismatch: engine collectives={} "
-          "fallbacks={} vs tracer collectives={} fallbacks={}",
-          report.collectives, report.ina_fallbacks, report.trace_collectives,
-          report.trace_ina_fallbacks);
-    }
-  }
-  return report;
 }
 
 }  // namespace hero::serve

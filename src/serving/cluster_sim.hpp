@@ -159,26 +159,22 @@ class ClusterSim {
   ClusterSim& operator=(const ClusterSim&) = delete;
   ~ClusterSim();
 
-  /// Execute the trace to completion (or options.max_sim_time) and report.
-  [[nodiscard]] ServingReport run(const wl::Trace& trace);
-
   // --- fleet-facing API ------------------------------------------------
-  // FleetSim drives many ClusterSims on one shared simulator: it submits
-  // routed requests itself and assembles per-instance reports at the end.
-  // run() is implemented on top of these primitives.
+  // FleetSim drives one or many ClusterSims on one shared simulator: it
+  // submits routed requests itself and assembles per-instance reports at
+  // the end. A single instance is served as a fleet of one.
 
   /// Record the initial KV-occupancy sample. Call once before submitting.
   void begin();
   /// Hand one request to this instance at the current simulated time.
   void submit(const wl::Request& request);
-  [[nodiscard]] std::size_t submitted_count() const { return submitted_; }
   [[nodiscard]] std::size_t retired_count() const { return retired_.size(); }
 
-  /// Metrics-only report over everything retired so far. `expected` is the
-  /// SLA-attainment denominator (the requests this instance was meant to
-  /// serve). Engine/tracer counter deltas are left zero — they are shared
-  /// fleet-wide and only the single-instance run() can attribute them.
-  [[nodiscard]] ServingReport report(std::size_t expected) const;
+  /// Metrics-only report over everything retired so far; SLA attainment is
+  /// normalized by the requests submitted here. Engine/tracer counter
+  /// deltas are left zero — the engine is shared fleet-wide, so only
+  /// FleetSim's aggregate can attribute them.
+  [[nodiscard]] ServingReport report() const;
 
   /// Per-request (arrival, TTFT, finish) of every retired request, in
   /// retirement order. FleetSim pools and sorts these fleet-wide.

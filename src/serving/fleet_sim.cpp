@@ -155,8 +155,8 @@ void FleetSim::start_prefix_stream(const RouteDecision& decision,
       decision.stream_bytes / static_cast<double>(sdec.size());
   auto barrier = std::make_shared<std::size_t>(sdec.size());
   for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const std::size_t j = i * ddec.size() / sdec.size();
-    const topo::Path path = scheduler_->unicast_path(sdec[i], ddec[j]);
+    const topo::Path path = scheduler_->unicast_path(
+        sdec[i], ddec[planner::kv_pair(i, sdec.size(), ddec.size())]);
     net::TransferOptions topts;
     topts.pipelined = true;  // RDMA bulk stream
     topts.on_complete = [this, barrier, from, to, request,
@@ -213,8 +213,18 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
   }
   running_ = false;
   if (total_retired() < trace.size()) {
-    log::warn("fleet run incomplete: t={} retired={}/{} instances={}",
-              sim.now(), total_retired(), trace.size(), instances_.size());
+    log::warn(
+        "fleet run incomplete: t={} retired={}/{} instances={} transfers={} "
+        "pending_events={}",
+        sim.now(), total_retired(), trace.size(), instances_.size(),
+        network_->active_transfers(), sim.pending_events());
+    for (std::size_t i = 0; i < instances_.size(); ++i) {
+      const LoadSnapshot load = instances_[i]->load();
+      log::warn("  instance {}: prefill={} backlog_tokens={} decode={} "
+                "in_flight={}",
+                i, load.prefill_requests, load.prefill_backlog_tokens,
+                load.decode_requests, load.in_flight);
+    }
     network_->debug_dump();
   }
 
@@ -223,11 +233,14 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
   fleet.lifetimes = lifetimes_;
   ServingReport& agg = fleet.aggregate;
   double within_sla = 0.0;
+  // Budget-weighted KV average. The weights are budget / total, so a fleet
+  // of one weighs its instance by exactly 1.0 and reports its average bit
+  // for bit (avg * b / b could drift by an ulp).
   Bytes kv_budget_total = 0.0;
-  Bytes kv_avg_weighted = 0.0;
+  for (const auto& inst : instances_) kv_budget_total += inst->kv().budget;
   for (auto& inst : instances_) {
     inst->begin();  // close the KV-occupancy time series at `now`
-    ServingReport rep = inst->report(inst->submitted_count());
+    ServingReport rep = inst->report();
     agg.submitted += rep.submitted;
     agg.completed += rep.completed;
     agg.gpus_used += rep.gpus_used;
@@ -240,9 +253,10 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
                              static_cast<double>(rep.submitted));
     agg.kv_utilization_peak =
         std::max(agg.kv_utilization_peak, rep.kv_utilization_peak);
-    const KvSnapshot kv = inst->kv();
-    kv_avg_weighted += rep.kv_utilization_avg * kv.budget;
-    kv_budget_total += kv.budget;
+    if (kv_budget_total > 0) {
+      agg.kv_utilization_avg +=
+          rep.kv_utilization_avg * (inst->kv().budget / kv_budget_total);
+    }
     const PrefixStats& ps = inst->prefix_stats();
     fleet.prefix.lookups += ps.lookups;
     fleet.prefix.hits += ps.hits;
@@ -270,8 +284,6 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
       agg.gpus_used > 0 ? agg.requests_per_second /
                               static_cast<double>(agg.gpus_used)
                         : 0.0;
-  agg.kv_utilization_avg =
-      kv_budget_total > 0 ? kv_avg_weighted / kv_budget_total : 0.0;
   fleet.prefix_streams = streams_total_;
   fleet.prefix_stream_bytes = stream_bytes_total_;
 
@@ -305,6 +317,7 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
                    "fallbacks",
                    agg.collectives, agg.trace_collectives, agg.ina_fallbacks,
                    agg.trace_ina_fallbacks);
+    if (!agg.trace_consistent) log::warn("serving trace cross-check mismatch");
   }
 
   if (!fleet.dispatched.empty()) {

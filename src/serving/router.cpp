@@ -10,6 +10,15 @@
 
 namespace hero::serve {
 
+namespace {
+
+/// Marginal TPOT interference the hero cost charges per occupied decode
+/// lane, as a fraction of a full 1/mu_dec serialization step (decode lanes
+/// run concurrently; a new batch member only stretches the shared step).
+constexpr double kDecodeInterference = 0.1;
+
+}  // namespace
+
 const char* to_string(RouterPolicy policy) {
   switch (policy) {
     case RouterPolicy::kRoundRobin: return "rr";
@@ -50,8 +59,8 @@ std::size_t Router::add_instance(ClusterSim& instance) {
   Instance inst;
   inst.sim = &instance;
   // Static pairing paths: GPU i of the prefill cluster streams its KV shard
-  // to decode GPU i * |dec| / |pre| (the serving simulator's mapping). The
-  // route is the plain shortest path — the *load* is applied at dispatch
+  // to its planner::kv_pair decode GPU (the serving simulator's mapping).
+  // The route is the plain shortest path — the *load* is applied at dispatch
   // time through the fair-share bandwidth vector, so the estimate follows
   // congestion without perturbing any scheduler state. The simulator itself
   // sends KV over CommScheduler::unicast_path, which for HeroServe is the
@@ -60,8 +69,8 @@ std::size_t Router::add_instance(ClusterSim& instance) {
   const auto& dec = instance.decode_gpu_ids();
   inst.kv_paths.reserve(pre.size());
   for (std::size_t i = 0; i < pre.size() && !dec.empty(); ++i) {
-    const std::size_t j = i * dec.size() / pre.size();
-    auto path = routes_.path(pre[i], dec[j]);
+    auto path = routes_.path(pre[i],
+                             dec[planner::kv_pair(i, pre.size(), dec.size())]);
     if (path) inst.kv_paths.push_back(std::move(*path));
   }
   instances_.push_back(std::move(inst));
@@ -163,8 +172,8 @@ double Router::cost_for(const Instance& inst, const InstanceProbe& probe,
   // reading (1/mu_dec each), which would swamp the prefill-backlog signal.
   const Time queue_s =
       backlog_reqs / mu_pre + std::max(0.0, decode_overflow) / mu_dec +
-      config_.decode_interference *
-          static_cast<double>(load.decode_requests) / mu_dec;
+      kDecodeInterference * static_cast<double>(load.decode_requests) /
+          mu_dec;
 
   // Decode-completion term: the request's predicted decode residence at the
   // instance's planned TPOT (plans differ — a decode pool with more tensor
@@ -196,8 +205,7 @@ double Router::cost_for(const Instance& inst, const InstanceProbe& probe,
     kv_s = std::max(kv_s, latency);
   }
 
-  return raw(config_.queue_weight * queue_s + completion_s +
-             config_.kv_weight * kv_s);
+  return raw(queue_s + completion_s + kv_s);
 }
 
 double Router::cost(std::size_t id, const ArrivalContext& ctx) const {
@@ -228,15 +236,15 @@ Time Router::stream_quote(std::size_t from, std::size_t to,
     return std::numeric_limits<Time>::infinity();
   }
   // The blocks are sharded over the source's decode GPUs; each shard rides
-  // its own flow to the paired destination GPU (i -> i * |dst| / |src|,
-  // the same mapping every KV stream in the simulator uses). The quote is
-  // the slowest shard at live admission rates, priced on the static shortest
+  // its own flow to the paired destination GPU (planner::kv_pair, the same
+  // mapping every KV stream in the simulator uses). The quote is the
+  // slowest shard at live admission rates, priced on the static shortest
   // path; FleetSim sends the shards over unicast_path instead.
   const Bytes per_src = total / static_cast<double>(sdec.size());
   Time worst = 0.0;
   for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const std::size_t j = i * ddec.size() / sdec.size();
-    const auto path = routes_.path(sdec[i], ddec[j]);
+    const auto path = routes_.path(
+        sdec[i], ddec[planner::kv_pair(i, sdec.size(), ddec.size())]);
     if (!path) return std::numeric_limits<Time>::infinity();
     if (path->edges.empty()) continue;  // same GPU (cannot happen cross-instance)
     const net::PathEstimate est = network_->estimate_path(*path);

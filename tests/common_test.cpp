@@ -1,10 +1,14 @@
 // Unit tests for the common utilities: RNG, statistics, fixed point,
-// formatting, tables, and unit conversions.
+// formatting, tables, unit conversions, and command-line parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/cli.hpp"
 #include "common/fixed_point.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
@@ -393,6 +397,66 @@ TEST(Table, ShortRowsPadded) {
 TEST(FmtDouble, Precision) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(1.0, 0), "1");
+}
+
+// --- command line ---
+
+/// parse_args over `args` (argv[0] supplied), as a binary's main sees it.
+cli::Options parse(std::vector<std::string> args) {
+  std::vector<char*> argv{const_cast<char*>("demo")};
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(argv.size()) - 1;
+  return cli::parse_args(argc, argv.data(), "demo [rate] [count]");
+}
+
+TEST(Cli, PositionalsParseWholeTokens) {
+  const cli::Options opts = parse({"2.5", "80", "--seed", "4"});
+  EXPECT_EQ(opts.seed, 4u);
+  EXPECT_DOUBLE_EQ(cli::positional_double(opts, 0, 1.0), 2.5);
+  EXPECT_EQ(cli::positional_size(opts, 1, 1), 80u);
+  EXPECT_DOUBLE_EQ(cli::positional_double(opts, 2, 1.5), 1.5);
+  EXPECT_EQ(cli::positional_size(opts, 2, 7), 7u);
+  EXPECT_DOUBLE_EQ(cli::positional_double(parse({"1e1"}), 0, 1.0), 10.0);
+}
+
+TEST(CliDeathTest, RejectsMalformedNumbers) {
+  EXPECT_EXIT((void)cli::positional_double(parse({"junk"}), 0, 1.0),
+              ::testing::ExitedWithCode(1),
+              "bad argument 'junk'.*usage: demo");
+  EXPECT_EXIT((void)cli::positional_double(parse({"2x"}), 0, 1.0),
+              ::testing::ExitedWithCode(1), "bad argument '2x'");
+  EXPECT_EXIT((void)cli::positional_double(parse({"nan"}), 0, 1.0),
+              ::testing::ExitedWithCode(1), "finite number");
+  EXPECT_EXIT((void)cli::positional_double(parse({"inf"}), 0, 1.0),
+              ::testing::ExitedWithCode(1), "finite number");
+}
+
+TEST(CliDeathTest, RejectsMalformedCounts) {
+  EXPECT_EXIT((void)cli::positional_size(parse({"abc"}), 0, 1),
+              ::testing::ExitedWithCode(1),
+              "bad argument 'abc'.*usage: demo");
+  EXPECT_EXIT((void)cli::positional_size(parse({"1.5"}), 0, 1),
+              ::testing::ExitedWithCode(1), "non-negative integer");
+  EXPECT_EXIT((void)cli::positional_size(parse({"10abc"}), 0, 1),
+              ::testing::ExitedWithCode(1), "bad argument '10abc'");
+}
+
+TEST(CliDeathTest, BadPositionalNamesTokenAndReason) {
+  EXPECT_EXIT(cli::bad_positional(parse({"2", "0"}), 1, "count must be >= 1"),
+              ::testing::ExitedWithCode(1),
+              "bad argument '0': count must be >= 1.*usage: demo");
+}
+
+TEST(Cli, LoadOrExitPassesValueThrough) {
+  EXPECT_EQ(cli::load_or_exit([] { return 42; }), 42);
+}
+
+TEST(CliDeathTest, LoadOrExitTurnsThrowIntoCleanError) {
+  EXPECT_EXIT(cli::load_or_exit([]() -> int {
+                throw std::runtime_error("cannot open plan.json");
+              }),
+              ::testing::ExitedWithCode(1), "error: cannot open plan.json");
 }
 
 }  // namespace

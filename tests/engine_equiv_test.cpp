@@ -198,12 +198,14 @@ class ExperimentEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(ExperimentEquivalence, ServingRunBitwiseIdentical) {
   ExperimentConfig cfg = experiment_config(GetParam());
   cfg.netsim.full_solve = false;
-  const ExperimentResult inc = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult inc =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   cfg.netsim.full_solve = true;
-  const ExperimentResult full = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult full =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   ASSERT_TRUE(inc.ok());
   ASSERT_TRUE(full.ok());
-  expect_reports_identical(inc.report, full.report);
+  expect_reports_identical(inc.report.aggregate, full.report.aggregate);
   EXPECT_EQ(inc.sim_stats.events_executed, full.sim_stats.events_executed);
   EXPECT_EQ(inc.sim_stats.events_scheduled, full.sim_stats.events_scheduled);
   EXPECT_EQ(inc.sim_stats.sim_seconds, full.sim_stats.sim_seconds);
@@ -226,12 +228,14 @@ TEST(EngineEquivalenceChaos, FaultedRunBitwiseIdentical) {
   cfg.fault_plan.events.push_back(ev);
 
   cfg.netsim.full_solve = false;
-  const ExperimentResult inc = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult inc =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   cfg.netsim.full_solve = true;
-  const ExperimentResult full = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult full =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   ASSERT_TRUE(inc.ok());
   ASSERT_TRUE(full.ok());
-  expect_reports_identical(inc.report, full.report);
+  expect_reports_identical(inc.report.aggregate, full.report.aggregate);
   EXPECT_EQ(inc.sim_stats.events_executed, full.sim_stats.events_executed);
 }
 

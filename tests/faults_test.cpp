@@ -388,17 +388,20 @@ TEST(ChaosDeterminism, SameSeedSamePlanSameReport) {
   flap.magnitude = 0.1;
   cfg.fault_plan.events.push_back(flap);
 
-  const ExperimentResult a = run_experiment(SystemKind::kHeroServe, cfg);
-  const ExperimentResult b = run_experiment(SystemKind::kHeroServe, cfg);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(a.report.completed, 0u);
-  EXPECT_EQ(a.report.completed, b.report.completed);
-  EXPECT_DOUBLE_EQ(raw(a.report.requests_per_second),
-                   raw(b.report.requests_per_second));
-  EXPECT_DOUBLE_EQ(a.report.ttft.p99(), b.report.ttft.p99());
-  EXPECT_DOUBLE_EQ(a.report.tpot.p99(), b.report.tpot.p99());
-  EXPECT_EQ(a.report.ina_fallbacks, b.report.ina_fallbacks);
+  const FleetExperimentResult ra =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult rb =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
+  ASSERT_TRUE(ra.ok());
+  ASSERT_TRUE(rb.ok());
+  const serve::ServingReport& a = ra.report.aggregate;
+  const serve::ServingReport& b = rb.report.aggregate;
+  EXPECT_GT(a.completed, 0u);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_DOUBLE_EQ(raw(a.requests_per_second), raw(b.requests_per_second));
+  EXPECT_DOUBLE_EQ(a.ttft.p99(), b.ttft.p99());
+  EXPECT_DOUBLE_EQ(a.tpot.p99(), b.tpot.p99());
+  EXPECT_EQ(a.ina_fallbacks, b.ina_fallbacks);
 }
 
 }  // namespace

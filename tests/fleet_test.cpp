@@ -384,5 +384,45 @@ TEST(FleetExperiment, RoundRobinDispatchIsEven) {
   EXPECT_DOUBLE_EQ(r.report.dispatch_imbalance, 0.0);
 }
 
+TEST(FleetOfOne, AggregateEqualsInstanceReport) {
+  // A single instance is served as a fleet of one, so the fleet aggregate
+  // must reproduce the instance's own report bit for bit — including the
+  // budget-weighted KV average, whose weight must be exactly 1.0. The
+  // engine counters (collectives, fallbacks) are fleet-wide only and are
+  // left zero in per-instance reports.
+  for (std::uint64_t seed : {8u, 11u, 24u, 29u, 35u}) {
+    ExperimentConfig cfg;
+    cfg.topology = topo::make_testbed();
+    cfg.serving.model = llm::opt_66b();
+    cfg.workload.rate = 1.0;
+    cfg.workload.count = 15;
+    cfg.workload.lengths = wl::sharegpt_lengths();
+    cfg.workload.seed = seed;
+    cfg.serving.seed = seed;
+    const FleetExperimentResult r =
+        run_fleet_experiment(SystemKind::kHeroServe, cfg);
+    ASSERT_TRUE(r.ok()) << r.plan.infeasible_reason;
+    ASSERT_EQ(r.report.per_instance.size(), 1u);
+    const serve::ServingReport& agg = r.report.aggregate;
+    const serve::ServingReport& one = r.report.per_instance.front();
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(agg.submitted, one.submitted);
+    EXPECT_EQ(agg.completed, one.completed);
+    EXPECT_EQ(agg.gpus_used, one.gpus_used);
+    EXPECT_EQ(agg.sla_attainment, one.sla_attainment);
+    EXPECT_EQ(agg.makespan, one.makespan);
+    EXPECT_EQ(agg.requests_per_second, one.requests_per_second);
+    EXPECT_EQ(agg.per_gpu_goodput, one.per_gpu_goodput);
+    EXPECT_EQ(agg.kv_utilization_avg, one.kv_utilization_avg);
+    EXPECT_EQ(agg.kv_utilization_peak, one.kv_utilization_peak);
+    for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(agg.ttft.quantile(q), one.ttft.quantile(q));
+      EXPECT_EQ(agg.tpot.quantile(q), one.tpot.quantile(q));
+    }
+    EXPECT_EQ(agg.ttft.mean(), one.ttft.mean());
+    EXPECT_EQ(agg.tpot.mean(), one.tpot.mean());
+  }
+}
+
 }  // namespace
 }  // namespace hero

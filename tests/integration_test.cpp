@@ -27,21 +27,23 @@ TEST(Experiment, AllSystemsServeTheTrace) {
   cfg.serving.sla_ttft = 5.0;
   cfg.serving.sla_tpot = 0.3;
   for (SystemKind kind : kAllSystems) {
-    const ExperimentResult r = run_experiment(kind, cfg);
+    const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
     ASSERT_TRUE(r.ok()) << to_string(kind) << ": "
                         << r.plan.infeasible_reason;
-    EXPECT_EQ(r.report.completed, 20u) << to_string(kind);
-    EXPECT_GT(r.report.sla_attainment, 0.5) << to_string(kind);
+    EXPECT_EQ(r.report.aggregate.completed, 20u) << to_string(kind);
+    EXPECT_GT(r.report.aggregate.sla_attainment, 0.5) << to_string(kind);
   }
 }
 
 TEST(Experiment, DeterministicForSeed) {
   const ExperimentConfig cfg = chatbot_config(1.0, 15);
-  const ExperimentResult a = run_experiment(SystemKind::kHeroServe, cfg);
-  const ExperimentResult b = run_experiment(SystemKind::kHeroServe, cfg);
-  EXPECT_DOUBLE_EQ(raw(a.report.makespan), raw(b.report.makespan));
-  EXPECT_DOUBLE_EQ(a.report.ttft.p90(), b.report.ttft.p90());
-  EXPECT_EQ(a.report.collectives, b.report.collectives);
+  const serve::ServingReport a =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg).report.aggregate;
+  const serve::ServingReport b =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg).report.aggregate;
+  EXPECT_DOUBLE_EQ(raw(a.makespan), raw(b.makespan));
+  EXPECT_DOUBLE_EQ(a.ttft.p90(), b.ttft.p90());
+  EXPECT_EQ(a.collectives, b.collectives);
 }
 
 TEST(Experiment, HeroBeatsDistServeUnderLoad) {
@@ -66,35 +68,38 @@ TEST(Experiment, HeroBeatsDistServeUnderLoad) {
   cfg.serving.sla_tpot = 0.2;
   // The paper's deployment premise (SII-B, Fig. 1): instances span servers.
   cfg.min_p_tens = 8;
-  const ExperimentResult hero =
-      run_experiment(SystemKind::kHeroServe, cfg);
-  const ExperimentResult dist =
-      run_experiment(SystemKind::kDistServe, cfg);
+  const FleetExperimentResult hero =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult dist =
+      run_fleet_experiment(SystemKind::kDistServe, cfg);
   ASSERT_TRUE(hero.ok());
   ASSERT_TRUE(dist.ok());
-  EXPECT_GT(hero.report.sla_attainment, dist.report.sla_attainment);
-  EXPECT_LT(hero.report.ttft.p90(), dist.report.ttft.p90());
-  EXPECT_LT(hero.report.tpot.p90(), dist.report.tpot.p90());
+  const serve::ServingReport& h = hero.report.aggregate;
+  const serve::ServingReport& d = dist.report.aggregate;
+  EXPECT_GT(h.sla_attainment, d.sla_attainment);
+  EXPECT_LT(h.ttft.p90(), d.ttft.p90());
+  EXPECT_LT(h.tpot.p90(), d.tpot.p90());
 }
 
 TEST(Experiment, HeroKeepsKvMemoryLower) {
   // Paper Fig. 10 mechanism: faster token turnaround drains KV sooner.
   const ExperimentConfig cfg = chatbot_config(4.0, 60);
-  const ExperimentResult hero =
-      run_experiment(SystemKind::kHeroServe, cfg);
-  const ExperimentResult dist =
-      run_experiment(SystemKind::kDistServe, cfg);
+  const FleetExperimentResult hero =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult dist =
+      run_fleet_experiment(SystemKind::kDistServe, cfg);
   ASSERT_TRUE(hero.ok() && dist.ok());
-  EXPECT_LT(hero.report.kv_utilization_avg,
-            dist.report.kv_utilization_avg * 1.05);
+  EXPECT_LT(hero.report.aggregate.kv_utilization_avg,
+            dist.report.aggregate.kv_utilization_avg * 1.05);
 }
 
 TEST(Experiment, InfeasibleSlaYieldsNotOk) {
   ExperimentConfig cfg = chatbot_config(1.0, 10);
   cfg.serving.sla_ttft = 1e-6;
-  const ExperimentResult r = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult r =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.report.completed, 0u);
+  EXPECT_EQ(r.report.aggregate.completed, 0u);
 }
 
 TEST(FindMaxRate, BracketsAttainmentTarget) {
@@ -103,7 +108,7 @@ TEST(FindMaxRate, BracketsAttainmentTarget) {
       find_max_rate(SystemKind::kHeroServe, cfg, 0.25, 8.0, 0.9, 4);
   EXPECT_GT(search.max_rate, 0.0);
   EXPECT_LT(search.max_rate, 8.0);
-  EXPECT_GE(search.at_max.report.sla_attainment, 0.9);
+  EXPECT_GE(search.at_max.report.aggregate.sla_attainment, 0.9);
   EXPECT_GE(search.samples.size(), 2u);
 }
 
@@ -131,12 +136,13 @@ TEST(FailureInjection, DegradedUplinksHurtDistServeMoreThanHero) {
     }
   }
   ASSERT_EQ(degraded, 2);
-  const ExperimentResult hero =
-      run_experiment(SystemKind::kHeroServe, cfg);
-  const ExperimentResult dist =
-      run_experiment(SystemKind::kDistServe, cfg);
+  const FleetExperimentResult hero =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult dist =
+      run_fleet_experiment(SystemKind::kDistServe, cfg);
   ASSERT_TRUE(hero.ok() && dist.ok());
-  EXPECT_GE(hero.report.sla_attainment, dist.report.sla_attainment);
+  EXPECT_GE(hero.report.aggregate.sla_attainment,
+            dist.report.aggregate.sla_attainment);
 }
 
 TEST(FittedModel, CachedPerModel) {

@@ -158,9 +158,11 @@ struct ObsServeFixture {
     w.count = count;
     w.lengths = wl::sharegpt_lengths();
     w.seed = 3;
-    serve::ClusterSim sim(*network, *engine, *scheduler, plan, opts);
+    serve::FleetSim fleet(*network, *engine, *scheduler, serve::FleetConfig{},
+                          opts);
+    fleet.add_instance(plan);
     scheduler->start();
-    return sim.run(wl::generate_trace(w));
+    return fleet.run(wl::generate_trace(w)).aggregate;
   }
 };
 
@@ -223,19 +225,22 @@ TEST(ObsServing, ExperimentConfigWiresTracerThrough) {
   EventTracer tracer;
   MetricsRegistry metrics;
   cfg.sink = Sink(&tracer, &metrics);
-  const ExperimentResult r = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult r =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.report.trace_checked);
-  EXPECT_TRUE(r.report.trace_consistent);
+  EXPECT_TRUE(r.report.aggregate.trace_checked);
+  EXPECT_TRUE(r.report.aggregate.trace_consistent);
   EXPECT_GT(tracer.event_count(), 0u);
   EXPECT_GT(metrics.size(), 0u);
 
   // Null sink = tracing off; the same experiment records nothing.
   cfg.sink = Sink();
-  const ExperimentResult quiet = run_experiment(SystemKind::kHeroServe, cfg);
+  const FleetExperimentResult quiet =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg);
   ASSERT_TRUE(quiet.ok());
-  EXPECT_FALSE(quiet.report.trace_checked);
-  EXPECT_EQ(quiet.report.collectives, r.report.collectives);
+  EXPECT_FALSE(quiet.report.aggregate.trace_checked);
+  EXPECT_EQ(quiet.report.aggregate.collectives,
+            r.report.aggregate.collectives);
 }
 
 }  // namespace

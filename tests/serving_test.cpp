@@ -1,5 +1,6 @@
 // Tests for the serving cluster simulator: request lifecycle, continuous
-// batching, KV-memory-gated admission, and metric accounting.
+// batching, KV-memory-gated admission, and metric accounting. Runs serve
+// the instance as a fleet of one, the way every serving run does.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -47,6 +48,11 @@ struct ServeFixture {
     }
   }
 
+  /// A one-instance fleet over this fixture's simulator and scheduler.
+  FleetSim fleet(const ServingOptions& options) {
+    return FleetSim(*network, *engine, *scheduler, FleetConfig{}, options);
+  }
+
   ServingOptions options() const {
     ServingOptions opts;
     opts.model = model;
@@ -68,9 +74,10 @@ struct ServeFixture {
 
 TEST(ClusterSim, AllRequestsCompleteAtLowRate) {
   ServeFixture f;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  FleetSim fleet = f.fleet(f.options());
+  fleet.add_instance(f.plan);
   f.scheduler->start();
-  const ServingReport report = sim.run(f.trace(0.5, 20));
+  const ServingReport report = fleet.run(f.trace(0.5, 20)).aggregate;
   EXPECT_EQ(report.submitted, 20u);
   EXPECT_EQ(report.completed, 20u);
   EXPECT_GT(report.makespan, 0.0);
@@ -79,9 +86,10 @@ TEST(ClusterSim, AllRequestsCompleteAtLowRate) {
 
 TEST(ClusterSim, MetricsAreConsistent) {
   ServeFixture f;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  FleetSim fleet = f.fleet(f.options());
+  fleet.add_instance(f.plan);
   f.scheduler->start();
-  const ServingReport report = sim.run(f.trace(0.5, 15));
+  const ServingReport report = fleet.run(f.trace(0.5, 15)).aggregate;
   EXPECT_EQ(report.ttft.count(), report.completed);
   EXPECT_GT(report.ttft.quantile(0.0), 0.0);   // TTFT strictly positive
   EXPECT_GT(report.tpot.quantile(0.0), 0.0);
@@ -99,9 +107,10 @@ TEST(ClusterSim, MetricsAreConsistent) {
 
 TEST(ClusterSim, LowRateMeetsSla) {
   ServeFixture f;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  FleetSim fleet = f.fleet(f.options());
+  fleet.add_instance(f.plan);
   f.scheduler->start();
-  const ServingReport report = sim.run(f.trace(0.3, 15));
+  const ServingReport report = fleet.run(f.trace(0.3, 15)).aggregate;
   EXPECT_GE(report.sla_attainment, 0.9);
   EXPECT_LE(report.ttft.p90(), 2.5);
   EXPECT_LE(report.tpot.p90(), 0.15);
@@ -110,16 +119,16 @@ TEST(ClusterSim, LowRateMeetsSla) {
 TEST(ClusterSim, OverloadDegradesTtftNotTpot) {
   // TTFT queues under overload; TPOT stays near the iteration time.
   ServeFixture lo;
-  ClusterSim slo(*lo.network, *lo.engine, *lo.scheduler, lo.plan,
-                 lo.options());
+  FleetSim flo = lo.fleet(lo.options());
+  flo.add_instance(lo.plan);
   lo.scheduler->start();
-  const ServingReport rlo = slo.run(lo.trace(0.3, 20));
+  const ServingReport rlo = flo.run(lo.trace(0.3, 20)).aggregate;
 
   ServeFixture hi;
-  ClusterSim shi(*hi.network, *hi.engine, *hi.scheduler, hi.plan,
-                 hi.options());
+  FleetSim fhi = hi.fleet(hi.options());
+  fhi.add_instance(hi.plan);
   hi.scheduler->start();
-  const ServingReport rhi = shi.run(hi.trace(25.0, 40));
+  const ServingReport rhi = fhi.run(hi.trace(25.0, 40)).aggregate;
 
   EXPECT_GT(rhi.ttft.p90(), 2.0 * rlo.ttft.p90());
   EXPECT_LT(rhi.tpot.p90(), 3.0 * rlo.tpot.p90());
@@ -138,9 +147,10 @@ TEST(ClusterSim, KvMemoryGatesAdmission) {
         weights + 2.5 * f.model.kv_bytes_per_token() * 600 /
                       f.plan.decode.parallel.gpus();
   }
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  FleetSim fleet = f.fleet(f.options());
+  fleet.add_instance(f.plan);
   f.scheduler->start();
-  const ServingReport report = sim.run(f.trace(2.0, 12));
+  const ServingReport report = fleet.run(f.trace(2.0, 12)).aggregate;
   EXPECT_EQ(report.completed, 12u);
   EXPECT_GT(report.kv_utilization_peak, 0.5);
 }
@@ -157,10 +167,10 @@ TEST(ClusterSim, InfeasiblePlanRejected) {
 TEST(ClusterSim, DeterministicForSeed) {
   auto run_once = [] {
     ServeFixture f;
-    ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan,
-                   f.options());
+    FleetSim fleet = f.fleet(f.options());
+    fleet.add_instance(f.plan);
     f.scheduler->start();
-    return sim.run(f.trace(0.8, 15));
+    return fleet.run(f.trace(0.8, 15)).aggregate;
   };
   const ServingReport a = run_once();
   const ServingReport b = run_once();
@@ -171,13 +181,14 @@ TEST(ClusterSim, DeterministicForSeed) {
 
 TEST(ClusterSim, SingleTokenRequestsFinishWithoutDecode) {
   ServeFixture f;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  FleetSim fleet = f.fleet(f.options());
+  fleet.add_instance(f.plan);
   f.scheduler->start();
   wl::Trace trace;
   for (std::uint64_t i = 0; i < 5; ++i) {
     trace.push_back(wl::Request{i, 0.1 * static_cast<double>(i), 256, 1});
   }
-  const ServingReport report = sim.run(trace);
+  const ServingReport report = fleet.run(trace).aggregate;
   EXPECT_EQ(report.completed, 5u);
   EXPECT_EQ(report.tpot.count(), 0u);  // no decode phase
   EXPECT_EQ(report.sla_attainment, 1.0);
@@ -185,8 +196,9 @@ TEST(ClusterSim, SingleTokenRequestsFinishWithoutDecode) {
 
 TEST(ClusterSim, BaselineSchedulerAlsoServes) {
   ServeFixture f(/*hero=*/false);
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
-  const ServingReport report = sim.run(f.trace(0.5, 10));
+  FleetSim fleet = f.fleet(f.options());
+  fleet.add_instance(f.plan);
+  const ServingReport report = fleet.run(f.trace(0.5, 10)).aggregate;
   EXPECT_EQ(report.completed, 10u);
 }
 
@@ -208,10 +220,11 @@ TEST(ClusterSim, KvSnapshotReplacesAccessorTrio) {
 
 TEST(ClusterSim, TierDisabledByDefault) {
   ServeFixture f;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  FleetSim fleet = f.fleet(f.options());
+  ClusterSim& sim = fleet.add_instance(f.plan);
   EXPECT_FALSE(sim.prefix_enabled());
   EXPECT_EQ(sim.cached_prefix_tokens(7), 0u);
-  const ServingReport report = sim.run(f.trace(0.5, 8));
+  const ServingReport report = fleet.run(f.trace(0.5, 8)).aggregate;
   EXPECT_EQ(report.completed, 8u);
   EXPECT_EQ(sim.prefix_stats().lookups, 0u);
 }
@@ -223,9 +236,10 @@ TEST(ClusterSim, TierIsNoOpOnSessionlessTraces) {
     ServeFixture f;
     ServingOptions opts = f.options();
     opts.prefix_block_tokens = block_tokens;
-    ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, opts);
+    FleetSim fleet = f.fleet(opts);
+    fleet.add_instance(f.plan);
     f.scheduler->start();
-    return sim.run(f.trace(0.8, 15));
+    return fleet.run(f.trace(0.8, 15)).aggregate;
   };
   const ServingReport off = run_once(0);
   const ServingReport on = run_once(128);
@@ -251,10 +265,11 @@ TEST(ClusterSim, PrefixReuseSkipsPrefillWork) {
   ServeFixture f;
   ServingOptions opts = f.options();
   opts.prefix_block_tokens = 128;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, opts);
+  FleetSim fleet = f.fleet(opts);
+  ClusterSim& sim = fleet.add_instance(f.plan);
   f.scheduler->start();
   const wl::Trace trace = multiturn_trace(30);
-  const ServingReport report = sim.run(trace);
+  const ServingReport report = fleet.run(trace).aggregate;
   EXPECT_EQ(report.completed, trace.size());
   const PrefixStats& stats = sim.prefix_stats();
   // Follow-up turns arrive after their session's previous turn retired and
@@ -271,9 +286,10 @@ TEST(ClusterSim, PrefixReuseImprovesTtftOnMultiturn) {
     ServeFixture f;
     ServingOptions opts = f.options();
     opts.prefix_block_tokens = block_tokens;
-    ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, opts);
+    FleetSim fleet = f.fleet(opts);
+    fleet.add_instance(f.plan);
     f.scheduler->start();
-    return sim.run(multiturn_trace(30));
+    return fleet.run(multiturn_trace(30)).aggregate;
   };
   const ServingReport blind = run_once(0);
   const ServingReport reuse = run_once(128);
@@ -287,7 +303,8 @@ TEST(ClusterSim, ChangeHookMirrorsCoverage) {
   ServeFixture f;
   ServingOptions opts = f.options();
   opts.prefix_block_tokens = 128;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, opts);
+  FleetSim fleet = f.fleet(opts);
+  ClusterSim& sim = fleet.add_instance(f.plan);
   f.scheduler->start();
   std::map<std::uint64_t, std::size_t> mirror;
   sim.set_prefix_change_hook(
@@ -298,7 +315,7 @@ TEST(ClusterSim, ChangeHookMirrorsCoverage) {
           mirror[stream] = tokens;
         }
       });
-  const ServingReport report = sim.run(multiturn_trace(20));
+  const ServingReport report = fleet.run(multiturn_trace(20)).aggregate;
   EXPECT_GT(report.completed, 0u);
   // The mirror agrees with the cache for every stream it tracks.
   EXPECT_FALSE(mirror.empty());
@@ -311,13 +328,14 @@ TEST(ClusterSim, RetirePrefixCacheSilencesHookAndDropsCoverage) {
   ServeFixture f;
   ServingOptions opts = f.options();
   opts.prefix_block_tokens = 128;
-  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, opts);
+  FleetSim fleet = f.fleet(opts);
+  ClusterSim& sim = fleet.add_instance(f.plan);
   f.scheduler->start();
   std::size_t calls_after_retire = 0;
   bool retired = false;
   sim.set_prefix_change_hook(
       [&](std::uint64_t, std::size_t) { calls_after_retire += retired; });
-  const ServingReport report = sim.run(multiturn_trace(15));
+  const ServingReport report = fleet.run(multiturn_trace(15)).aggregate;
   EXPECT_GT(report.completed, 0u);
   retired = true;
   sim.retire_prefix_cache();

@@ -109,7 +109,7 @@ for seed in "${SEEDS[@]}"; do
   # Engine-equivalence phase: the incremental max-min engine and the
   # whole-fabric solve must produce byte-identical output — stdout and the
   # trace JSON (event stream, metrics snapshot) alike, not merely close
-  # numbers. Covers both the single-instance and the fleet pipeline.
+  # numbers. Covers the single-instance run (served as a fleet of one).
   for mode in "" "--full-solve"; do
     dir="equiv-$seed${mode:+-full}"
     mkdir -p "$WORK/$dir"
