@@ -73,6 +73,7 @@ const ChaosScenario kSlotExhaust{"slot_exhaust", slot_exhaust_plan};
 
 struct Cell {
   serve::ServingReport report;
+  std::uint64_t ina_fallbacks = 0;
   bool ok = false;
 };
 
@@ -93,7 +94,10 @@ Cell run_cell(SystemKind kind, const ChaosScenario& scenario) {
   Cell cell;
   const FleetExperimentResult r = run_fleet_experiment(kind, cfg);
   cell.ok = r.ok();
-  if (r.ok()) cell.report = r.report.aggregate;
+  if (r.ok()) {
+    cell.report = r.report.aggregate;
+    cell.ina_fallbacks = r.report.ina_fallbacks;
+  }
   return cell;
 }
 
@@ -151,7 +155,7 @@ void print_scenario(const ChaosScenario& scenario) {
              fmt_double(c.report.ttft.p99(), 2),
          fmt_double(c.report.tpot.median(), 4) + " / " +
              fmt_double(c.report.tpot.p99(), 4),
-         std::to_string(c.report.ina_fallbacks)});
+         std::to_string(c.ina_fallbacks)});
   }
   table.print();
 }
@@ -166,7 +170,7 @@ void write_json() {
       row.str("scenario", scenario->name).str("system", to_string(kind));
       hero::bench::report_latency_fields(row, c.report);
       row.integer("completed", c.report.completed)
-          .integer("ina_fallbacks", c.report.ina_fallbacks);
+          .integer("ina_fallbacks", c.ina_fallbacks);
     }
   }
   json.write("BENCH_chaos.json");

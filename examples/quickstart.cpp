@@ -179,13 +179,13 @@ int main(int argc, char** argv) {
          fmt_double(rep.sla_attainment, 3),
          fmt_double(raw(rep.requests_per_second), 2),
          fmt_double(rep.kv_utilization_avg, 3)});
-    if (traced && rep.trace_checked) {
+    if (traced && r.report.trace_checked) {
       std::printf(
           "trace cross-check: %llu collectives (engine) vs %llu (tracer) "
           "-> %s\n",
-          static_cast<unsigned long long>(rep.collectives),
-          static_cast<unsigned long long>(rep.trace_collectives),
-          rep.trace_consistent ? "consistent" : "MISMATCH");
+          static_cast<unsigned long long>(r.report.collectives),
+          static_cast<unsigned long long>(r.report.trace_collectives),
+          r.report.trace_consistent ? "consistent" : "MISMATCH");
     }
   }
   table.print();

@@ -43,21 +43,22 @@ void serve_trace(const wl::Trace& trace, const char* label, obs::Sink sink,
     return;
   }
 
-  const serve::ServingReport& report = r.report.aggregate;
+  const serve::FleetReport& fleet = r.report;
+  const serve::ServingReport& report = fleet.aggregate;
   std::printf(
       "%s: %zu reqs @ %.2f req/s -> attainment %.3f, TTFT p90 %.2fs, "
       "TPOT p90 %.4fs\n",
       label, trace.size(), stats.mean_rate, report.sla_attainment,
       report.ttft.p90(), report.tpot.p90());
-  if (report.trace_checked) {
+  if (fleet.trace_checked) {
     std::printf(
         "%s: trace cross-check: collectives %llu/%llu fallbacks %llu/%llu "
         "(engine/tracer) -> %s\n",
-        label, static_cast<unsigned long long>(report.collectives),
-        static_cast<unsigned long long>(report.trace_collectives),
-        static_cast<unsigned long long>(report.ina_fallbacks),
-        static_cast<unsigned long long>(report.trace_ina_fallbacks),
-        report.trace_consistent ? "consistent" : "MISMATCH");
+        label, static_cast<unsigned long long>(fleet.collectives),
+        static_cast<unsigned long long>(fleet.trace_collectives),
+        static_cast<unsigned long long>(fleet.ina_fallbacks),
+        static_cast<unsigned long long>(fleet.trace_ina_fallbacks),
+        fleet.trace_consistent ? "consistent" : "MISMATCH");
   }
 }
 

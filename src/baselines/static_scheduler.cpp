@@ -43,17 +43,13 @@ const char* to_string(BaselineKind kind) {
 }
 
 StaticCommScheduler::StaticCommScheduler(net::FlowNetwork& network,
-                                         BaselineKind kind,
-                                         BaselineOptions opts)
+                                         BaselineKind kind)
     : network_(&network),
       kind_(kind),
-      opts_(opts),
+      ps_host_(kind == BaselineKind::kAtp ? find_ps_host(network.graph())
+                                          : topo::kInvalidNode),
       routes_(network.graph(),
-              topo::PathOptions{.constraints = {.allow_nvlink = false}}) {
-  if (kind_ == BaselineKind::kAtp && opts_.fallback == topo::kInvalidNode) {
-    opts_.fallback = find_ps_host(network.graph());
-  }
-}
+              topo::PathOptions{.constraints = {.allow_nvlink = false}}) {}
 
 coll::GroupId StaticCommScheduler::register_group(
     std::vector<topo::NodeId> members) {
@@ -108,14 +104,13 @@ coll::GroupId StaticCommScheduler::register_group(
                     switches.end());
       }
       const bool sync = kind_ == BaselineKind::kSwitchMl;
-      if (!sync && opts_.fallback == topo::kInvalidNode) {
+      if (!sync && ps_host_ == topo::kInvalidNode) {
         throw std::runtime_error("DS-ATP: no PS fallback host in topology");
       }
       plan = coll::make_hierarchical_plan(
           g, std::move(members),
           0.0, sync ? coll::Scheme::kInaSync : coll::Scheme::kInaAsync,
-          ethernet, switches.front(),
-          sync ? topo::kInvalidNode : opts_.fallback, opts_.slots);
+          ethernet, switches.front(), ps_host_);
       break;
     }
   }

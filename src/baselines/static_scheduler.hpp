@@ -24,17 +24,9 @@ enum class BaselineKind : std::uint8_t { kDistServe, kSwitchMl, kAtp };
 
 [[nodiscard]] const char* to_string(BaselineKind kind);
 
-struct BaselineOptions {
-  /// PS host for DS-ATP's fallback; auto-discovered (first kServer node)
-  /// when left invalid.
-  topo::NodeId fallback = topo::kInvalidNode;
-  std::uint32_t slots = 8;
-};
-
 class StaticCommScheduler final : public coll::CommScheduler {
  public:
-  StaticCommScheduler(net::FlowNetwork& network, BaselineKind kind,
-                      BaselineOptions opts = {});
+  StaticCommScheduler(net::FlowNetwork& network, BaselineKind kind);
 
   coll::GroupId register_group(std::vector<topo::NodeId> members) override;
   coll::AllReducePlan all_reduce_plan(coll::GroupId group,
@@ -53,7 +45,9 @@ class StaticCommScheduler final : public coll::CommScheduler {
  private:
   net::FlowNetwork* network_;
   BaselineKind kind_;
-  BaselineOptions opts_;
+  /// DS-ATP's PS fallback host: the first kServer node (invalid for the
+  /// other kinds, or when the topology has none).
+  topo::NodeId ps_host_;
   topo::Routes routes_;  ///< Ethernet-only
   std::vector<coll::AllReducePlan> plans_;
 };

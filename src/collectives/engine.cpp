@@ -397,15 +397,6 @@ void CollectiveEngine::finish(Op& op) {
   if (done) done(result);
 }
 
-void CollectiveEngine::transfer(const topo::Path& path, Bytes bytes,
-                                std::function<void()> done) {
-  network_->start_transfer(
-      path, bytes,
-      net::TransferOptions{[cb = std::move(done)](net::TransferId) {
-        if (cb) cb();
-      }});
-}
-
 // --- plan builders -------------------------------------------------------
 
 AllReducePlan make_ring_plan(std::vector<topo::NodeId> members, Bytes bytes,

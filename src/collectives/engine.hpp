@@ -12,7 +12,6 @@
 //  * hierarchical all-reduce        (HeroServe: NVLink-local ring, one leader
 //                                    per server joins the inter-server phase,
 //                                    NVLink broadcast back — Fig. 2(b))
-//  * point-to-point transfer        (pipeline activations, KV cache)
 //
 // Asynchronous INA (ATP) falls back to end-host PS aggregation when the
 // switch rejects the reservation, reproducing ATP's best-effort degradation
@@ -101,10 +100,6 @@ class CollectiveEngine {
 
   /// Execute an all-reduce; `done` fires when every member holds the result.
   void all_reduce(AllReducePlan plan, Done done);
-
-  /// One-way transfer along a resolved path (KV cache, pipeline boundary).
-  void transfer(const topo::Path& path, Bytes bytes,
-                std::function<void()> done);
 
   [[nodiscard]] net::FlowNetwork& network() { return *network_; }
   [[nodiscard]] sw::SwitchRegistry& switches() { return *switches_; }

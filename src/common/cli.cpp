@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace hero::cli {
 namespace {
@@ -12,6 +13,22 @@ namespace {
 [[noreturn]] void usage_error(const char* usage, const char* flag) {
   std::fprintf(stderr, "missing value for %s\nusage: %s\n", flag, usage);
   std::exit(1);
+}
+
+[[noreturn]] void bad_flag(const char* usage, const char* flag,
+                           const char* token, const char* why) {
+  std::fprintf(stderr, "bad value '%s' for %s: %s\nusage: %s\n", token, flag,
+               why, usage);
+  std::exit(1);
+}
+
+/// True when the whole of `token` parses as a T (no sign on unsigned
+/// types, no trailing characters).
+template <typename T>
+bool parse_whole(std::string_view token, T& value) {
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  return ec == std::errc() && end == token.data() + token.size();
 }
 
 }  // namespace
@@ -30,16 +47,20 @@ Options parse_args(int& argc, char** argv, const char* usage) {
       std::printf("usage: %s\n", usage);
       std::exit(0);
     } else if (std::strcmp(a, "--seed") == 0) {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(value("--seed")));
+      const char* token = value("--seed");
+      if (!parse_whole(token, opts.seed)) {
+        bad_flag(usage, "--seed", token, "expected a non-negative integer");
+      }
       opts.seed_given = true;
     } else if (std::strcmp(a, "--faults") == 0) {
       opts.faults_path = value("--faults");
     } else if (std::strcmp(a, "--trace") == 0) {
       opts.trace_path = value("--trace");
     } else if (std::strcmp(a, "--instances") == 0) {
-      opts.instances = static_cast<std::size_t>(
-          std::atoll(value("--instances")));
-      if (opts.instances == 0) opts.instances = 1;
+      const char* token = value("--instances");
+      if (!parse_whole(token, opts.instances) || opts.instances == 0) {
+        bad_flag(usage, "--instances", token, "expected a positive integer");
+      }
     } else if (std::strcmp(a, "--router") == 0) {
       opts.router = value("--router");
     } else if (std::strcmp(a, "--quick") == 0) {
@@ -65,12 +86,8 @@ void bad_positional(const Options& opts, std::size_t i, const char* why) {
 double positional_double(const Options& opts, std::size_t i,
                          double fallback) {
   if (i >= opts.positional.size()) return fallback;
-  const std::string& token = opts.positional[i];
   double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || end != token.data() + token.size() ||
-      !std::isfinite(value)) {
+  if (!parse_whole(opts.positional[i], value) || !std::isfinite(value)) {
     bad_positional(opts, i, "expected a finite number");
   }
   return value;
@@ -79,11 +96,8 @@ double positional_double(const Options& opts, std::size_t i,
 std::size_t positional_size(const Options& opts, std::size_t i,
                             std::size_t fallback) {
   if (i >= opts.positional.size()) return fallback;
-  const std::string& token = opts.positional[i];
   std::size_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || end != token.data() + token.size()) {
+  if (!parse_whole(opts.positional[i], value)) {
     bad_positional(opts, i, "expected a non-negative integer");
   }
   return value;

@@ -31,7 +31,7 @@ struct Options {
                                ///< default otherwise)
   std::string faults_path;     ///< empty = no fault plan requested
   std::string trace_path;      ///< empty = no trace requested
-  std::size_t instances = 1;   ///< --instances (fleet size; 1 = single)
+  std::size_t instances = 1;   ///< --instances (fleet size >= 1; 1 = single)
   std::string router;          ///< --router policy name; empty = default
   bool quick = false;          ///< --quick smoke-test mode
   bool full_solve = false;     ///< --full-solve (incremental-engine check)
@@ -40,8 +40,10 @@ struct Options {
 };
 
 /// Parse and strip the shared flags from argv. On --help prints `usage`
-/// and exits 0; on a flag missing its value prints `usage` to stderr and
-/// exits 1.
+/// and exits 0. On a flag missing its value, or a --seed that is not a
+/// whole non-negative integer, or an --instances that is not a whole
+/// positive integer, prints one line naming the flag (and token) plus
+/// `usage` to stderr and exits 1.
 [[nodiscard]] Options parse_args(int& argc, char** argv, const char* usage);
 
 /// Positional accessors with defaults (index past the end -> fallback).

@@ -1,46 +1,9 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace hero {
-
-// --- Summary ---
-
-void Summary::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void Summary::merge(const Summary& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double Summary::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
 
 // --- Percentiles ---
 
@@ -78,17 +41,6 @@ double Percentiles::fraction_below(double threshold) const {
          static_cast<double>(values_.size());
 }
 
-// --- Ewma ---
-
-void Ewma::observe(double x) {
-  if (!seeded_) {
-    value_ = x;
-    seeded_ = true;
-  } else {
-    value_ = (1.0 - gamma_) * value_ + gamma_ * x;
-  }
-}
-
 // --- TimeWeighted ---
 
 void TimeWeighted::observe(Time now, double value) {
@@ -111,49 +63,6 @@ void TimeWeighted::observe(Time now, double value) {
 double TimeWeighted::average() const {
   const Time dur = last_time_ - first_time_;
   return dur > 0.0 ? weighted_sum_ / dur : current_;
-}
-
-double TimeWeighted::average_until(Time now) const {
-  if (!started_ || now <= last_time_) return average();
-  const Time dur = now - first_time_;
-  const Time sum = weighted_sum_ + current_ * (now - last_time_);
-  return dur > 0.0 ? sum / dur : current_;
-}
-
-// --- Histogram ---
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  std::size_t b;
-  if (x < lo_) {
-    b = 0;
-  } else if (x >= hi_) {
-    b = counts_.size() - 1;
-  } else {
-    b = static_cast<std::size_t>((x - lo_) / width_);
-    b = std::min(b, counts_.size() - 1);
-  }
-  ++counts_[b];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  return counts_.at(bucket);
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
 }
 
 // --- MovingAverage ---

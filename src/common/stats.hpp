@@ -1,39 +1,14 @@
 // Statistics helpers shared by the simulator, the online scheduler, and the
-// benchmark harnesses: streaming summaries, percentiles, exponentially
-// weighted moving averages ("hardware counters"), time-weighted averages for
-// utilization accounting, and fixed-width histograms.
+// benchmark harnesses: percentiles, time-weighted averages for utilization
+// accounting, and windowed moving averages.
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "common/units.hpp"
 
 namespace hero {
-
-/// Streaming mean/variance/min/max (Welford). O(1) memory.
-class Summary {
- public:
-  void add(double x);
-  void merge(const Summary& other);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exact percentile over a stored sample set (linear interpolation between
 /// order statistics). Used for TTFT/TPOT distributions, which are small
@@ -69,24 +44,6 @@ class Percentiles {
   void ensure_sorted() const;
 };
 
-/// Exponentially weighted moving average with an explicit smoothing factor,
-/// mirroring the paper's Eq. (18) update style: v <- (1-gamma)*v + gamma*x.
-class Ewma {
- public:
-  explicit Ewma(double gamma, double initial = 0.0)
-      : gamma_(gamma), value_(initial) {}
-
-  void observe(double x);
-  [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] double gamma() const { return gamma_; }
-  [[nodiscard]] bool seeded() const { return seeded_; }
-
- private:
-  double gamma_;
-  double value_;
-  bool seeded_ = false;
-};
-
 /// Time-weighted average of a piecewise-constant signal, e.g. link
 /// utilization or KV-cache occupancy over simulated time.
 class TimeWeighted {
@@ -96,15 +53,8 @@ class TimeWeighted {
   void observe(Time now, double value);
 
   [[nodiscard]] double average() const;
-  /// Average with the current value extended through `now`. The incremental
-  /// flow engine only observes a signal when it *changes*, so the plain
-  /// average() denominator would stop at the last change; this closes the
-  /// window at the caller's clock instead. `now` earlier than the last
-  /// observation falls back to average().
-  [[nodiscard]] double average_until(Time now) const;
   [[nodiscard]] double peak() const { return peak_; }
   [[nodiscard]] double current() const { return current_; }
-  [[nodiscard]] Time duration() const { return last_time_ - first_time_; }
 
  private:
   bool started_ = false;
@@ -113,25 +63,6 @@ class TimeWeighted {
   double current_ = 0.0;
   Time weighted_sum_ = 0.0;  ///< signal (dimensionless) x seconds
   double peak_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bucket) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Simple windowed moving average used by the workload estimator

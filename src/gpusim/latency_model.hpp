@@ -53,8 +53,6 @@ class LatencyModel {
   [[nodiscard]] Time decode(std::size_t k_ctx, std::size_t stage_layers,
                             std::size_t p_tens) const;
 
-  [[nodiscard]] const PrefillCoeffs& prefill_coeffs() const { return pre_; }
-  [[nodiscard]] const DecodeCoeffs& decode_coeffs() const { return dec_; }
   [[nodiscard]] const llm::ModelConfig& model() const { return model_; }
 
  private:

@@ -15,14 +15,8 @@ Bytes ModelConfig::kv_bytes_per_token() const {
 }
 
 Bytes ModelConfig::sync_volume_per_step(std::size_t tokens) const {
-  return comm_dtype_bytes * static_cast<double>(tokens) *
+  return dtype_bytes * static_cast<double>(tokens) *
          static_cast<double>(hidden);
-}
-
-ModelConfig ModelConfig::with_int8_comm() const {
-  ModelConfig copy = *this;
-  copy.comm_dtype_bytes = 1.0;
-  return copy;
 }
 
 Bytes ModelConfig::iteration_sync_volume(std::size_t tokens,

@@ -22,10 +22,6 @@ struct ModelConfig {
   std::size_t ffn = 0;      ///< m (FFN intermediate size)
   std::size_t vocab = 50272;
   Bytes dtype_bytes = 2.0;  ///< FP16 throughout the paper's evaluation
-  /// Bytes per element on the wire for TP synchronization. Defaults to the
-  /// compute dtype; setting 1.0 models INT8 communication compression
-  /// (Fig. 1's "FP16/INT8" variants, FlashCommunication [33]).
-  Bytes comm_dtype_bytes = 2.0;
 
   /// R of Table I: weight bytes = dtype * (V*h + L*(4h^2 + 2*h*m)).
   [[nodiscard]] Bytes param_bytes() const;
@@ -34,12 +30,8 @@ struct ModelConfig {
   [[nodiscard]] Bytes kv_bytes_per_token() const;
 
   /// Tensor-parallel synchronization volume of ONE sync step for `tokens`
-  /// tokens: D = tokens * h elements at the *communication* precision
-  /// (paper: D_col(a) = D_col(f) = K_in h).
+  /// tokens: D = tokens * h elements (paper: D_col(a) = D_col(f) = K_in h).
   [[nodiscard]] Bytes sync_volume_per_step(std::size_t tokens) const;
-
-  /// Copy of this config with low-bit (INT8) synchronization enabled.
-  [[nodiscard]] ModelConfig with_int8_comm() const;
 
   /// Sync steps per transformer layer (attention output + FFN output).
   static constexpr std::size_t kSyncStepsPerLayer = 2;

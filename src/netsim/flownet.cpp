@@ -25,7 +25,6 @@ FlowNetwork::FlowNetwork(sim::Simulator& simulator, const topo::Graph& graph)
     : sim_(&simulator), graph_(&graph),
       degradation_(graph.edge_count(), 1.0),
       link_rate_(graph.edge_count() * 2, 0.0),
-      link_util_avg_(graph.edge_count() * 2),
       link_delivered_(graph.edge_count() * 2, 0.0),
       link_flows_(graph.edge_count() * 2),
       link_is_dirty_(graph.edge_count() * 2, 0),
@@ -471,7 +470,6 @@ void FlowNetwork::refresh_link(std::size_t index, Time now,
                  "link {} allocated {} B/s over capacity {} B/s", index, rate,
                  cap);
   const double util = cap > 0 ? rate / cap : 0.0;
-  link_util_avg_[index].observe(now, util);
   if (metrics != nullptr) {
     // Per-link utilization timeline (the controller's "hardware
     // counters"); a link's gauge appears once it first carries traffic.
@@ -559,12 +557,6 @@ double FlowNetwork::utilization(DirectedLink link) const {
 double FlowNetwork::edge_utilization(topo::EdgeId edge) const {
   return std::max(utilization(DirectedLink{edge, true}),
                   utilization(DirectedLink{edge, false}));
-}
-
-double FlowNetwork::average_utilization(DirectedLink link) const {
-  // Utilization is only observed when it changes; extend the current value
-  // through the caller's clock so idle stretches count.
-  return link_util_avg_[link.index()].average_until(sim_->now());
 }
 
 PathEstimate FlowNetwork::estimate_path(const topo::Path& path) const {

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 #include "netsim/sim.hpp"
 #include "topology/graph.hpp"
 #include "topology/paths.hpp"
@@ -130,8 +129,6 @@ class FlowNetwork {
   [[nodiscard]] double utilization(DirectedLink link) const;
   /// Higher of the two directions of an edge.
   [[nodiscard]] double edge_utilization(topo::EdgeId edge) const;
-  /// Time-averaged utilization of a directed link since construction.
-  [[nodiscard]] double average_utilization(DirectedLink link) const;
   /// Probe a path against the live link state: residual, post-admission
   /// fair share, bottleneck edge, fixed latency. O(hops). An empty path
   /// reports infinite bandwidth and no bottleneck.
@@ -240,7 +237,6 @@ class FlowNetwork {
 
   std::vector<double> degradation_;          // per edge
   std::vector<Bandwidth> link_rate_;         // per directed link, busy rate
-  std::vector<TimeWeighted> link_util_avg_;  // per directed link
   std::vector<Bytes> link_delivered_;        // per directed link
   std::vector<obs::Gauge*> link_gauges_;     // lazily bound metric gauges
 

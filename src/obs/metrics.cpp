@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 namespace hero::obs {
 
@@ -11,48 +9,6 @@ void Gauge::set(Time now, double value) {
   if (timeline_.empty() || timeline_.back().value != value) {
     timeline_.push_back(GaugePoint{now, value});
   }
-}
-
-TimeHistogram::TimeHistogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      time_in_(buckets, 0.0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("TimeHistogram: need hi > lo, buckets > 0");
-  }
-}
-
-std::size_t TimeHistogram::bucket_of(double value) const {
-  const double pos = (value - lo_) / width_;
-  if (pos <= 0) return 0;
-  const auto b = static_cast<std::size_t>(pos);
-  return std::min(b, time_in_.size() - 1);
-}
-
-void TimeHistogram::observe(Time now, double value) {
-  if (started_ && now > last_time_) {
-    const Time dt = now - last_time_;
-    time_in_[bucket_of(last_value_)] += dt;
-    total_ += dt;
-  }
-  started_ = true;
-  last_time_ = now;
-  last_value_ = value;
-}
-
-Time TimeHistogram::time_in(std::size_t bucket) const {
-  return time_in_.at(bucket);
-}
-
-double TimeHistogram::fraction(std::size_t bucket) const {
-  return total_ > 0 ? time_in_.at(bucket) / total_ : 0.0;
-}
-
-double TimeHistogram::bucket_lo(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double TimeHistogram::bucket_hi(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -71,17 +27,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return it->second;
 }
 
-TimeHistogram& MetricsRegistry::histogram(std::string_view name, double lo,
-                                          double hi, std::size_t buckets) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name),
-                             TimeHistogram(lo, hi, buckets))
-             .first;
-  }
-  return it->second;
-}
-
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
@@ -90,12 +35,6 @@ const Counter* MetricsRegistry::find_counter(std::string_view name) const {
 const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const TimeHistogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(Time now) const {

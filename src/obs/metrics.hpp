@@ -1,11 +1,10 @@
 // Metrics registry for the simulated serving stack.
 //
 // Named counters (monotonic totals: collectives, fallbacks, transfers),
-// gauges (piecewise-constant signals with time-weighted averaging and a
-// change-point timeline: link utilization, queue depths, KV occupancy), and
-// time-weighted histograms (fraction of simulated time a signal spent in
-// each value bucket). Backends snapshot the registry at any sim time; two
-// identical seeded runs produce byte-identical snapshots.
+// and gauges (piecewise-constant signals with time-weighted averaging and a
+// change-point timeline: link utilization, queue depths, KV occupancy).
+// Backends snapshot the registry at any sim time; two identical seeded runs
+// produce byte-identical snapshots.
 //
 // Like the tracer, the registry is reached through
 // sim::Simulator::metrics() and is null unless attached, so the disabled
@@ -56,35 +55,6 @@ class Gauge {
   std::vector<GaugePoint> timeline_;
 };
 
-/// Time-weighted histogram over [lo, hi): how long the observed signal sat
-/// in each bucket (out-of-range clamps to the end buckets).
-class TimeHistogram {
- public:
-  TimeHistogram(double lo, double hi, std::size_t buckets);
-
-  /// The signal takes `value` from `now` onwards (and held its previous
-  /// value up to `now`).
-  void observe(Time now, double value);
-
-  [[nodiscard]] std::size_t bucket_count() const { return time_in_.size(); }
-  [[nodiscard]] Time time_in(std::size_t bucket) const;
-  /// Fraction of total observed time spent in `bucket`.
-  [[nodiscard]] double fraction(std::size_t bucket) const;
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-  [[nodiscard]] Time total_time() const { return total_; }
-
- private:
-  double lo_, width_;
-  std::vector<Time> time_in_;
-  Time total_ = 0.0;
-  bool started_ = false;
-  Time last_time_ = 0.0;
-  double last_value_ = 0.0;
-
-  [[nodiscard]] std::size_t bucket_of(double value) const;
-};
-
 /// One registry snapshot: every metric, sorted by name (deterministic).
 struct MetricsSnapshot {
   Time time = 0.0;
@@ -107,23 +77,18 @@ class MetricsRegistry {
   /// "serve.kv_util"; creation order does not affect snapshots.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  TimeHistogram& histogram(std::string_view name, double lo, double hi,
-                           std::size_t buckets);
 
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
   [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-  [[nodiscard]] const TimeHistogram* find_histogram(
-      std::string_view name) const;
 
   [[nodiscard]] MetricsSnapshot snapshot(Time now) const;
   [[nodiscard]] std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
+    return counters_.size() + gauges_.size();
   }
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, TimeHistogram, std::less<>> histograms_;
 };
 
 }  // namespace hero::obs

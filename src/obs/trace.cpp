@@ -125,10 +125,6 @@ std::size_t EventTracer::open_spans(TrackId track) const {
   return track < open_depth_.size() ? open_depth_[track] : 0;
 }
 
-void EventTracer::write_chrome_trace(std::ostream& out) const {
-  out << chrome_trace_json();
-}
-
 std::string EventTracer::chrome_trace_json() const {
   std::string out;
   out.reserve(events_.size() * 96 + 256);

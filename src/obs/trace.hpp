@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,14 +99,10 @@ class EventTracer {
                                     Phase phase) const;
   /// Spans currently open on a track (begin without matching end).
   [[nodiscard]] std::size_t open_spans(TrackId track) const;
-  [[nodiscard]] std::size_t track_count() const {
-    return track_names_.size() + 1;
-  }
 
   // --- export ---
   /// Serialize everything as Chrome trace-event JSON ({"traceEvents": [...]},
   /// timestamps in microseconds, track names as thread_name metadata).
-  void write_chrome_trace(std::ostream& out) const;
   [[nodiscard]] std::string chrome_trace_json() const;
   /// Write to a file; returns false (and logs) on I/O failure.
   bool write_chrome_trace_file(const std::string& path) const;

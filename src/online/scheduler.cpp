@@ -70,23 +70,20 @@ std::vector<Policy> build_policies(const topo::Routes& routes,
       coll::AllReducePlan plan =
           opts.heterogeneous
               ? coll::make_hierarchical_plan(graph, members, 0.0,
-                                             opts.ina_scheme, route, sw,
-                                             opts.fallback, opts.slots)
-              : coll::make_ina_plan(members, 0.0, sw, opts.ina_scheme, route,
-                                    opts.fallback, opts.slots);
+                                             coll::Scheme::kInaSync, route,
+                                             sw)
+              : coll::make_ina_plan(members, 0.0, sw, coll::Scheme::kInaSync,
+                                    route);
       add(strfmt("{}ina@{}", opts.heterogeneous ? "hier-" : "",
                  graph.node(sw).name),
           std::move(plan));
     }
   }
-  if (opts.include_ring || policies.empty()) {
-    coll::AllReducePlan plan =
-        opts.heterogeneous
-            ? coll::make_hierarchical_plan(graph, members, 0.0,
-                                           coll::Scheme::kRing, route)
-            : coll::make_ring_plan(members, 0.0, route);
-    add(opts.heterogeneous ? "hier-ring" : "ring", std::move(plan));
-  }
+  add(opts.heterogeneous ? "hier-ring" : "ring",
+      opts.heterogeneous
+          ? coll::make_hierarchical_plan(graph, members, 0.0,
+                                         coll::Scheme::kRing, route)
+          : coll::make_ring_plan(members, 0.0, route));
   return policies;
 }
 

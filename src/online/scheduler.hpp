@@ -21,15 +21,12 @@ namespace hero::online {
 using GroupId = coll::GroupId;
 
 /// Options controlling what candidate policies a group's table is populated
-/// with.
+/// with. The ring policy is always included; INA policies use synchronous
+/// aggregation.
 struct PolicyBuildOptions {
   bool heterogeneous = true;  ///< NVLink paths + hierarchical plans
-  bool include_ring = true;
   bool include_ina = true;
   std::size_t switch_candidates = 2;  ///< INA switches considered per group
-  coll::Scheme ina_scheme = coll::Scheme::kInaSync;
-  topo::NodeId fallback = topo::kInvalidNode;  ///< PS host for async INA
-  std::uint32_t slots = 8;
 };
 
 /// Build the candidate policy set for one GPU group. `routes` supplies
@@ -59,9 +56,6 @@ class OnlineScheduler {
   [[nodiscard]] const PolicyTable& table(GroupId group) const;
   [[nodiscard]] std::size_t group_count() const { return tables_.size(); }
   [[nodiscard]] const OnlineConfig& config() const { return config_; }
-  [[nodiscard]] const std::string& group_name(GroupId group) const {
-    return names_.at(group);
-  }
 
   /// Overwrite one policy's measured cost b_c, as if the controller had
   /// calibrated it to `cost`. The supported way for tests and the fault

@@ -136,17 +136,7 @@ struct ServingReport {
   double kv_utilization_avg = 0.0;  ///< Fig. 10 metric
   double kv_utilization_peak = 0.0;
   std::vector<KvSample> kv_timeline;  ///< occupancy at every change point
-  std::uint64_t collectives = 0;
-  std::uint64_t ina_fallbacks = 0;
   std::size_t gpus_used = 0;
-  /// Cross-check against the attached EventTracer (tentpole invariant):
-  /// when a tracer is attached, `collectives`/`ina_fallbacks` (counted by
-  /// the engine) must equal the number of collective spans / fallback
-  /// instants the tracer recorded during this run.
-  bool trace_checked = false;      ///< a tracer was attached to the run
-  bool trace_consistent = true;    ///< engine counters == tracer totals
-  std::uint64_t trace_collectives = 0;
-  std::uint64_t trace_ina_fallbacks = 0;
 };
 
 class ClusterSim {
@@ -171,9 +161,7 @@ class ClusterSim {
   [[nodiscard]] std::size_t retired_count() const { return retired_.size(); }
 
   /// Metrics-only report over everything retired so far; SLA attainment is
-  /// normalized by the requests submitted here. Engine/tracer counter
-  /// deltas are left zero — the engine is shared fleet-wide, so only
-  /// FleetSim's aggregate can attribute them.
+  /// normalized by the requests submitted here.
   [[nodiscard]] ServingReport report() const;
 
   /// Per-request (arrival, TTFT, finish) of every retired request, in

@@ -299,25 +299,25 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
         static_cast<double>(life.gpus) * std::max(0.0, raw(held)) / 3600.0;
   }
 
-  // Engine counters are shared across instances; only fleet-wide deltas
-  // are attributable.
-  agg.collectives = engine_->ops_completed - ops_before;
-  agg.ina_fallbacks = engine_->fallbacks_taken - fb_before;
+  fleet.collectives = engine_->ops_completed - ops_before;
+  fleet.ina_fallbacks = engine_->fallbacks_taken - fb_before;
   if (tr) {
-    agg.trace_checked = true;
-    agg.trace_collectives =
+    fleet.trace_checked = true;
+    fleet.trace_collectives =
         tr->count("collective", obs::Phase::kAsyncEnd) - tr_coll_before;
-    agg.trace_ina_fallbacks =
+    fleet.trace_ina_fallbacks =
         tr->count("ina_fallback", obs::Phase::kInstant) - tr_fb_before;
-    agg.trace_consistent =
-        agg.trace_collectives == agg.collectives &&
-        agg.trace_ina_fallbacks == agg.ina_fallbacks;
-    HERO_INVARIANT(agg.trace_consistent,
+    fleet.trace_consistent =
+        fleet.trace_collectives == fleet.collectives &&
+        fleet.trace_ina_fallbacks == fleet.ina_fallbacks;
+    HERO_INVARIANT(fleet.trace_consistent,
                    "engine/tracer drift: {} vs {} collectives, {} vs {} "
                    "fallbacks",
-                   agg.collectives, agg.trace_collectives, agg.ina_fallbacks,
-                   agg.trace_ina_fallbacks);
-    if (!agg.trace_consistent) log::warn("serving trace cross-check mismatch");
+                   fleet.collectives, fleet.trace_collectives,
+                   fleet.ina_fallbacks, fleet.trace_ina_fallbacks);
+    if (!fleet.trace_consistent) {
+      log::warn("serving trace cross-check mismatch");
+    }
   }
 
   if (!fleet.dispatched.empty()) {

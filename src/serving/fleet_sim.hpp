@@ -51,6 +51,18 @@ struct FleetReport {
   PrefixStats prefix;                  ///< summed over instances
   std::uint64_t prefix_streams = 0;    ///< cross-instance block streams
   Bytes prefix_stream_bytes = 0.0;     ///< bytes those streams moved
+  /// Collective-engine counters over the run. The engine is shared by
+  /// every instance, so only the fleet can attribute them.
+  std::uint64_t collectives = 0;
+  std::uint64_t ina_fallbacks = 0;
+  /// Cross-check against the attached EventTracer: when a tracer is
+  /// attached, `collectives`/`ina_fallbacks` (counted by the engine) must
+  /// equal the number of collective spans / fallback instants the tracer
+  /// recorded during this run.
+  bool trace_checked = false;      ///< a tracer was attached to the run
+  bool trace_consistent = true;    ///< engine counters == tracer totals
+  std::uint64_t trace_collectives = 0;
+  std::uint64_t trace_ina_fallbacks = 0;
 };
 
 class FleetSim {

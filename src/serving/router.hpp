@@ -130,9 +130,6 @@ class Router {
   [[nodiscard]] bool is_active(std::size_t id) const {
     return instances_.at(id).state == State::kActive;
   }
-  [[nodiscard]] bool is_draining(std::size_t id) const {
-    return instances_.at(id).state == State::kDraining;
-  }
   /// Instances currently eligible for dispatch.
   [[nodiscard]] std::size_t active_count() const;
 

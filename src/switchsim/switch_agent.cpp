@@ -9,10 +9,8 @@
 namespace hero::sw {
 
 SwitchAgent::SwitchAgent(sim::Simulator& simulator, topo::NodeId node,
-                         std::uint32_t total_slots,
-                         std::uint32_t entry_values)
-    : sim_(&simulator), node_(node), total_slots_(total_slots),
-      pool_(std::max<std::uint32_t>(total_slots, 1), entry_values) {}
+                         std::uint32_t total_slots)
+    : sim_(&simulator), node_(node), total_slots_(total_slots) {}
 
 Admission SwitchAgent::reserve(JobId job, std::uint32_t slots,
                                bool queue_if_full,
@@ -76,9 +74,8 @@ void SwitchAgent::admit_from_queue() {
 }
 
 SwitchRegistry::SwitchRegistry(sim::Simulator& simulator,
-                               const topo::Graph& graph,
-                               std::uint32_t entry_values)
-    : sim_(&simulator), graph_(&graph), entry_values_(entry_values) {}
+                               const topo::Graph& graph)
+    : sim_(&simulator), graph_(&graph) {}
 
 SwitchAgent& SwitchRegistry::agent(topo::NodeId node) {
   if (!graph_->is_switch(node)) {
@@ -91,8 +88,7 @@ SwitchAgent& SwitchRegistry::agent(topo::NodeId node) {
              .emplace(node, std::make_unique<SwitchAgent>(
                                 *sim_, node,
                                 static_cast<std::uint32_t>(
-                                    std::max<std::int32_t>(slots, 1)),
-                                entry_values_))
+                                    std::max<std::int32_t>(slots, 1))))
              .first;
   }
   return *it->second;

@@ -33,7 +33,7 @@ enum class Admission : std::uint8_t { kGranted, kQueued, kRejected };
 class SwitchAgent {
  public:
   SwitchAgent(sim::Simulator& simulator, topo::NodeId node,
-              std::uint32_t total_slots, std::uint32_t entry_values = 64);
+              std::uint32_t total_slots);
 
   SwitchAgent(const SwitchAgent&) = delete;
   SwitchAgent& operator=(const SwitchAgent&) = delete;
@@ -58,10 +58,6 @@ class SwitchAgent {
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] topo::NodeId node() const { return node_; }
 
-  /// The functional data plane behind this agent (shared slot budget is
-  /// enforced by this class; the pool validates per-chunk behaviour).
-  [[nodiscard]] AggregatorPool& pool() { return pool_; }
-
   // --- hardware counters ---
   std::uint64_t jobs_granted = 0;
   std::uint64_t jobs_queued = 0;
@@ -80,7 +76,6 @@ class SwitchAgent {
   std::uint32_t in_use_ = 0;
   std::unordered_map<JobId, std::uint32_t> granted_;
   std::deque<Pending> queue_;
-  AggregatorPool pool_;
 
   void admit_from_queue();
   void grant(JobId job, std::uint32_t slots, std::function<void()> on_grant);
@@ -89,8 +84,7 @@ class SwitchAgent {
 /// Owns one SwitchAgent per switch node of a topology; lazily constructed.
 class SwitchRegistry {
  public:
-  SwitchRegistry(sim::Simulator& simulator, const topo::Graph& graph,
-                 std::uint32_t entry_values = 64);
+  SwitchRegistry(sim::Simulator& simulator, const topo::Graph& graph);
 
   /// Agent for a switch node (throws if `node` is not a switch).
   [[nodiscard]] SwitchAgent& agent(topo::NodeId node);
@@ -98,7 +92,6 @@ class SwitchRegistry {
  private:
   sim::Simulator* sim_;
   const topo::Graph* graph_;
-  std::uint32_t entry_values_;
   std::unordered_map<topo::NodeId, std::unique_ptr<SwitchAgent>> agents_;
 };
 

@@ -346,16 +346,6 @@ TEST(Engine, SingleMemberCompletesImmediately) {
   EXPECT_TRUE(done);
 }
 
-TEST(Engine, TransferDeliversCallback) {
-  Fixture f(star_graph(2));
-  const Router route = f.router();
-  Time done = -1;
-  f.engine->transfer(route(f.graph.gpus()[0], f.graph.gpus()[1]),
-                     1.0 * units::MB, [&] { done = f.simulator.now(); });
-  f.simulator.run();
-  EXPECT_NEAR(raw(done), raw(160.0 * units::us), raw(1.0 * units::us));
-}
-
 TEST(Engine, OpsCompletedCounter) {
   Fixture f(star_graph(3));
   for (int i = 0; i < 3; ++i) {

@@ -401,7 +401,7 @@ TEST(ChaosDeterminism, SameSeedSamePlanSameReport) {
   EXPECT_DOUBLE_EQ(raw(a.requests_per_second), raw(b.requests_per_second));
   EXPECT_DOUBLE_EQ(a.ttft.p99(), b.ttft.p99());
   EXPECT_DOUBLE_EQ(a.tpot.p99(), b.tpot.p99());
-  EXPECT_EQ(a.ina_fallbacks, b.ina_fallbacks);
+  EXPECT_EQ(ra.report.ina_fallbacks, rb.report.ina_fallbacks);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for GPU specs, the roofline kernel model, the least-squares solver,
+// Tests for GPU specs and presets, the roofline kernel model, the least-squares solver,
 // and the Eq. 12-13 profiling fit.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,15 @@ TEST(GpuSpec, DatasheetValues) {
   const GpuSpec v100 = spec_of(topo::GpuModel::kV100_32);
   EXPECT_LT(v100.flops(), a100.flops());
   EXPECT_LT(v100.mem_bw(), a100.mem_bw());
+}
+
+TEST(GpuPresets, H100AndL4) {
+  const GpuSpec h100 = spec_of(topo::GpuModel::kH100_80);
+  EXPECT_EQ(h100.name, "H100-80GB");
+  EXPECT_GT(h100.flops(), spec_of(topo::GpuModel::kA100_80).flops());
+  const GpuSpec l4 = spec_of(topo::GpuModel::kL4_24);
+  EXPECT_DOUBLE_EQ(raw(l4.memory), raw(24.0 * units::GB));
+  EXPECT_STREQ(topo::to_string(topo::GpuModel::kH100_80), "H100-80GB");
 }
 
 KernelModel a100_model(double noise = 0.0) {

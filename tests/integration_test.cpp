@@ -37,12 +37,12 @@ TEST(Experiment, AllSystemsServeTheTrace) {
 
 TEST(Experiment, DeterministicForSeed) {
   const ExperimentConfig cfg = chatbot_config(1.0, 15);
-  const serve::ServingReport a =
-      run_fleet_experiment(SystemKind::kHeroServe, cfg).report.aggregate;
-  const serve::ServingReport b =
-      run_fleet_experiment(SystemKind::kHeroServe, cfg).report.aggregate;
-  EXPECT_DOUBLE_EQ(raw(a.makespan), raw(b.makespan));
-  EXPECT_DOUBLE_EQ(a.ttft.p90(), b.ttft.p90());
+  const serve::FleetReport a =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg).report;
+  const serve::FleetReport b =
+      run_fleet_experiment(SystemKind::kHeroServe, cfg).report;
+  EXPECT_DOUBLE_EQ(raw(a.aggregate.makespan), raw(b.aggregate.makespan));
+  EXPECT_DOUBLE_EQ(a.aggregate.ttft.p90(), b.aggregate.ttft.p90());
   EXPECT_EQ(a.collectives, b.collectives);
 }
 

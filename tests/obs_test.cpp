@@ -150,7 +150,7 @@ struct ObsServeFixture {
     scheduler = std::make_unique<online::HeroCommScheduler>(*network);
   }
 
-  serve::ServingReport run(double rate, std::size_t count) {
+  serve::FleetReport run(double rate, std::size_t count) {
     serve::ServingOptions opts;
     opts.model = model;
     wl::TraceOptions w;
@@ -162,14 +162,14 @@ struct ObsServeFixture {
                           opts);
     fleet.add_instance(plan);
     scheduler->start();
-    return fleet.run(wl::generate_trace(w)).aggregate;
+    return fleet.run(wl::generate_trace(w));
   }
 };
 
 TEST(ObsServing, ReportCrossChecksAgainstTracer) {
   ObsServeFixture f;
-  const serve::ServingReport report = f.run(0.5, 10);
-  EXPECT_EQ(report.completed, 10u);
+  const serve::FleetReport report = f.run(0.5, 10);
+  EXPECT_EQ(report.aggregate.completed, 10u);
   ASSERT_TRUE(report.trace_checked);
   EXPECT_TRUE(report.trace_consistent);
   EXPECT_GT(report.collectives, 0u);
@@ -202,8 +202,8 @@ TEST(ObsServing, ReportCrossChecksAgainstTracer) {
 TEST(ObsServing, IdenticalSeededRunsProduceIdenticalSnapshots) {
   auto run_once = [] {
     ObsServeFixture f;
-    const serve::ServingReport report = f.run(0.8, 12);
-    EXPECT_GT(report.completed, 0u);
+    const serve::FleetReport report = f.run(0.8, 12);
+    EXPECT_GT(report.aggregate.completed, 0u);
     return std::make_pair(f.metrics.snapshot(0.0).to_string(),
                           f.tracer.chrome_trace_json());
   };
@@ -228,8 +228,8 @@ TEST(ObsServing, ExperimentConfigWiresTracerThrough) {
   const FleetExperimentResult r =
       run_fleet_experiment(SystemKind::kHeroServe, cfg);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.report.aggregate.trace_checked);
-  EXPECT_TRUE(r.report.aggregate.trace_consistent);
+  EXPECT_TRUE(r.report.trace_checked);
+  EXPECT_TRUE(r.report.trace_consistent);
   EXPECT_GT(tracer.event_count(), 0u);
   EXPECT_GT(metrics.size(), 0u);
 
@@ -238,9 +238,8 @@ TEST(ObsServing, ExperimentConfigWiresTracerThrough) {
   const FleetExperimentResult quiet =
       run_fleet_experiment(SystemKind::kHeroServe, cfg);
   ASSERT_TRUE(quiet.ok());
-  EXPECT_FALSE(quiet.report.aggregate.trace_checked);
-  EXPECT_EQ(quiet.report.aggregate.collectives,
-            r.report.aggregate.collectives);
+  EXPECT_FALSE(quiet.report.trace_checked);
+  EXPECT_EQ(quiet.report.collectives, r.report.collectives);
 }
 
 }  // namespace

@@ -89,7 +89,8 @@ TEST(ClusterSim, MetricsAreConsistent) {
   FleetSim fleet = f.fleet(f.options());
   fleet.add_instance(f.plan);
   f.scheduler->start();
-  const ServingReport report = fleet.run(f.trace(0.5, 15)).aggregate;
+  const FleetReport fleet_report = fleet.run(f.trace(0.5, 15));
+  const ServingReport& report = fleet_report.aggregate;
   EXPECT_EQ(report.ttft.count(), report.completed);
   EXPECT_GT(report.ttft.quantile(0.0), 0.0);   // TTFT strictly positive
   EXPECT_GT(report.tpot.quantile(0.0), 0.0);
@@ -97,7 +98,7 @@ TEST(ClusterSim, MetricsAreConsistent) {
   EXPECT_LE(report.sla_attainment, 1.0);
   EXPECT_GE(report.kv_utilization_peak, report.kv_utilization_avg);
   EXPECT_LE(report.kv_utilization_peak, 1.0 + 1e-9);
-  EXPECT_GT(report.collectives, 0u);
+  EXPECT_GT(fleet_report.collectives, 0u);
   EXPECT_EQ(report.gpus_used, f.plan.prefill.all_gpus().size() +
                                   f.plan.decode.all_gpus().size());
   EXPECT_NEAR(raw(report.per_gpu_goodput),

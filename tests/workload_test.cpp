@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
 
 #include "workload/trace.hpp"
 
@@ -91,11 +92,14 @@ TEST(Trace, BurstyHasHigherVariance) {
   opts.rate = 10.0;
   opts.count = 4000;
   auto gap_var = [](const Trace& t) {
-    Summary s;
+    const double n = static_cast<double>(t.size() - 1);
+    double sum = 0.0, sum_sq = 0.0;
     for (std::size_t i = 1; i < t.size(); ++i) {
-      s.add(raw(t[i].arrival - t[i - 1].arrival));
+      const double gap = raw(t[i].arrival - t[i - 1].arrival);
+      sum += gap;
+      sum_sq += gap * gap;
     }
-    return s.variance();
+    return (sum_sq - sum * sum / n) / (n - 1.0);
   };
   const double poisson_var = gap_var(generate_trace(opts));
   opts.bursty = true;
@@ -148,6 +152,25 @@ TEST(Diurnal, ModulatesRateAroundTheMean) {
     (phase < 0.5 ? peak_half : trough_half) += 1;
   }
   EXPECT_GT(peak_half, trough_half + trough_half / 2);
+}
+
+TEST(Diurnal, PreservesMeanRate) {
+  DiurnalOptions opts;
+  opts.base.rate = 10.0;
+  opts.base.count = 8000;
+  opts.period = 100.0;
+  opts.amplitude = 0.6;
+  const Trace t = generate_diurnal_trace(opts);
+  EXPECT_NEAR(raw(summarize(t).mean_rate), raw(10.0), 1.0);
+}
+
+TEST(Diurnal, Validation) {
+  DiurnalOptions opts;
+  opts.amplitude = 1.5;
+  EXPECT_THROW(generate_diurnal_trace(opts), std::invalid_argument);
+  opts.amplitude = 0.5;
+  opts.period = 0.0;
+  EXPECT_THROW(generate_diurnal_trace(opts), std::invalid_argument);
 }
 
 TEST(FlashCrowd, DeterministicForSeed) {
