@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
 
   // Periodic report of the policy cost table.
   std::function<void()> report = [&] {
-    std::printf("[t=%.2fs] ops=%llu | policy costs:", simulator.now(),
+    std::printf("[t=%.2fs] ops=%llu | policy costs:", raw(simulator.now()),
                 static_cast<unsigned long long>(ops));
     for (std::size_t i = 0; i < table.size(); ++i) {
       std::printf("  %s b=%.3f sel=%llu", table.policy(i).name.c_str(),

@@ -21,7 +21,7 @@ void dump_cluster(const char* name, const planner::ClusterPlan& cluster,
                   const topo::Graph& graph) {
   std::printf("\n%s cluster: TP=%zu x PP=%zu, T_n=%.2f ms, T_c=%.2f ms\n",
               name, cluster.parallel.p_tens, cluster.parallel.p_pipe,
-              cluster.t_net * 1e3, cluster.t_comp * 1e3);
+              raw(cluster.t_net) * 1e3, raw(cluster.t_comp) * 1e3);
   Table table({"stage", "GPUs", "scheme", "INA switch", "step latency (us)"});
   for (std::size_t s = 0; s < cluster.stages.size(); ++s) {
     const planner::GroupPlan& g = cluster.stages[s];
@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
     std::printf(
         "H=%.4f req/s | TTFT est %.3f s | TPOT est %.4f s | KV tail %.4f s "
         "| q_decode=%zu | mu=%.2f req/s\n",
-        plan.throughput_h, plan.t_prefill, plan.t_decode, plan.t_kv,
-        plan.q_decode, plan.service_rate);
+        raw(plan.throughput_h), raw(plan.t_prefill), raw(plan.t_decode),
+        raw(plan.t_kv), plan.q_decode, raw(plan.service_rate));
     std::printf("solved in %zu work units over %zu candidates (%zu swaps)\n",
                 plan.solve_work_units, plan.candidates_evaluated,
                 plan.perturbation_swaps);

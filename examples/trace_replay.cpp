@@ -48,7 +48,7 @@ void serve_trace(const wl::Trace& trace, const char* label, obs::Sink sink,
   std::printf(
       "%s: %zu reqs @ %.2f req/s -> attainment %.3f, TTFT p90 %.2fs, "
       "TPOT p90 %.4fs\n",
-      label, trace.size(), stats.mean_rate, report.sla_attainment,
+      label, trace.size(), raw(stats.mean_rate), report.sla_attainment,
       report.ttft.p90(), report.tpot.p90());
   if (fleet.trace_checked) {
     std::printf(

@@ -191,13 +191,13 @@ void FaultInjector::notify_scheduler_link(topo::EdgeId edge, double factor) {
 void FaultInjector::notify_scheduler_switch(topo::NodeId node) {
   if (hooks_.online == nullptr) return;
   online::OnlineScheduler& online = *hooks_.online;
-  const double penalty = online.config().ina_unavailable_penalty;
   for (online::GroupId g = 0; g < online.group_count(); ++g) {
     const online::PolicyTable& table = online.table(g);
     for (std::size_t i = 0; i < table.size(); ++i) {
       const online::Policy& p = table.policy(i);
       if (p.plan.switch_node != node) continue;
-      online.apply_cost_override(g, i, std::min(1.0, p.cost + penalty));
+      online.apply_cost_override(
+          g, i, std::min(1.0, p.cost + online::kInaUnavailablePenalty));
     }
   }
 }

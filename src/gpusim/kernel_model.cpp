@@ -4,6 +4,14 @@
 #include <cmath>
 
 namespace hero::gpu {
+namespace {
+
+/// Kernel launch overhead, per layer.
+constexpr Time kKernelOverhead = 15.0 * units::us;
+/// Per-iteration overhead: Python runtime etc. (C3).
+constexpr Time kIterationOverhead = 250.0 * units::us;
+
+}  // namespace
 
 KernelModel::KernelModel(GpuSpec spec, llm::ModelConfig model,
                          KernelModelOptions opts, std::uint64_t seed)
@@ -35,8 +43,7 @@ Time KernelModel::prefill_time(std::size_t k_in, std::size_t k_in2,
 
   const double layers = static_cast<double>(stage_layers);
   const Time compute = layers * flops_per_layer / spec_.flops();
-  const Time overhead = layers * opts_.kernel_overhead +
-                        opts_.iteration_overhead;
+  const Time overhead = layers * kKernelOverhead + kIterationOverhead;
   return (compute + overhead) * noise();
 }
 
@@ -65,8 +72,7 @@ Time KernelModel::decode_time(std::size_t batch, std::size_t context_tokens,
 
   const double layers = static_cast<double>(stage_layers);
   const Time busy = layers * std::max(mem_per_layer, compute_per_layer);
-  const Time overhead = layers * opts_.kernel_overhead +
-                        opts_.iteration_overhead;
+  const Time overhead = layers * kKernelOverhead + kIterationOverhead;
   return (busy + overhead) * noise();
 }
 

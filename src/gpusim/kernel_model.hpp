@@ -24,8 +24,6 @@ namespace hero::gpu {
 
 struct KernelModelOptions {
   double noise_sigma = 0.02;      ///< lognormal run-to-run jitter
-  Time kernel_overhead = 15.0 * units::us;  ///< launch overhead per layer
-  Time iteration_overhead = 250.0 * units::us;  ///< Python runtime etc. (C3)
 };
 
 class KernelModel {

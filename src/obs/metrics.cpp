@@ -55,7 +55,7 @@ MetricsSnapshot MetricsRegistry::snapshot(Time now) const {
 std::string MetricsSnapshot::to_string() const {
   std::string out;
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "snapshot t=%.9g\n", time);
+  std::snprintf(buf, sizeof(buf), "snapshot t=%.9g\n", raw(time));
   out += buf;
   for (const auto& [name, value] : counters) {
     std::snprintf(buf, sizeof(buf), "counter %s = %llu\n", name.c_str(),

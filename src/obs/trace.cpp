@@ -154,7 +154,7 @@ std::string EventTracer::chrome_trace_json() const {
     row += "\",\"pid\":1,\"tid\":";
     row += std::to_string(ev.track);
     // Chrome timestamps are microseconds; keep sub-us precision.
-    std::snprintf(ts, sizeof(ts), "%.3f", ev.time * 1e6);
+    std::snprintf(ts, sizeof(ts), "%.3f", raw(ev.time) * 1e6);
     row += ",\"ts\":";
     row += ts;
     if (!ev.category.empty()) {

@@ -34,14 +34,12 @@ struct OnlineConfig {
   /// Control-plane propagation delay for table updates (0 = instantaneous;
   /// > 0 models a slow controller, used in failure-injection tests).
   Time controller_delay = 0.0;
-  /// Surcharge added to an INA policy's cost while its aggregation switch
-  /// has an exhausted slot pool (only with attach_switches; b_c lives in
-  /// [0, 1], so 1.0 decisively loses Eq. 16 to any healthy policy).
-  double ina_unavailable_penalty = 1.0;
-  /// Cap on the controller's exponential sync-retry backoff
-  /// (sync_period * 2^k, k <= this) while the sync channel is down.
-  std::uint32_t max_sync_backoff = 4;
 };
+
+/// Surcharge added to an INA policy's cost while its aggregation switch has
+/// an exhausted slot pool (only with attach_switches; b_c lives in [0, 1],
+/// so 1.0 decisively loses Eq. 16 to any healthy policy).
+inline constexpr double kInaUnavailablePenalty = 1.0;
 
 struct Policy {
   std::string name;

@@ -13,6 +13,10 @@
 namespace hero::online {
 namespace {
 
+/// Cap on the controller's exponential sync-retry backoff
+/// (sync_period * 2^k, k <= this) while the sync channel is down.
+constexpr std::uint32_t kMaxSyncBackoff = 4;
+
 topo::PathOptions hetero_opts(bool heterogeneous) {
   topo::PathOptions opts;
   opts.constraints.allow_nvlink = heterogeneous;
@@ -141,7 +145,7 @@ void OnlineScheduler::apply_switch_health(GroupId group) {
     const sw::SwitchAgent& agent = switches_->agent(p.plan.switch_node);
     const bool starved = agent.slots_in_use() >= agent.slots_total() ||
                          agent.queue_depth() > 0;
-    if (starved) p.cost += config_.ina_unavailable_penalty;
+    if (starved) p.cost += kInaUnavailablePenalty;
     if (starved != avoided[i]) {
       avoided[i] = starved;
       if (obs::EventTracer* tr = s.tracer()) {
@@ -171,7 +175,7 @@ void OnlineScheduler::controller_tick() {
     // controller retries with exponential backoff instead of hammering a
     // dead channel at the nominal period.
     ++missed_syncs_;
-    sync_backoff_ = std::min(sync_backoff_ + 1, config_.max_sync_backoff);
+    sync_backoff_ = std::min(sync_backoff_ + 1, kMaxSyncBackoff);
     const Time retry_in =
         config_.sync_period * static_cast<double>(1u << sync_backoff_);
     if (obs::EventTracer* tr = s.tracer()) {

@@ -70,7 +70,7 @@ class OnlineScheduler {
 
   /// Opt into switch slot-pool health feedback: on every controller tick an
   /// INA policy whose aggregation switch has no free slots (or a backed-up
-  /// admission queue) is surcharged `OnlineConfig::ina_unavailable_penalty`
+  /// admission queue) is surcharged `kInaUnavailablePenalty`
   /// on top of its measured cost, steering Eq. 16 toward ring until the
   /// pool recovers. Null detaches. Off by default so clean runs are
   /// byte-identical with pre-chaos behaviour.

@@ -37,8 +37,8 @@ struct ClusterSim::PrefillBatch {
   std::size_t k_in = 0;
   std::size_t k_in2 = 0;
   std::size_t stage = 0;
-  /// Outstanding pieces before the batch hands over to decode:
-  /// the stage chain (1) plus one per KV transfer pair.
+  /// Outstanding pieces before the batch hands over to decode: the stage
+  /// chain and the KV move.
   std::size_t barrier = 0;
 };
 
@@ -71,6 +71,7 @@ ClusterSim::ClusterSim(net::FlowNetwork& network,
     throw std::invalid_argument("ClusterSim: plan is infeasible");
   }
   setup_stages();
+  kv_shards_ = kv_shards(prefill_gpus_, decode_gpus_);
 
   // KV-cache budget: decode GPU memory minus the weight shards.
   const Bytes weights_per_gpu =
@@ -331,6 +332,7 @@ void ClusterSim::try_start_prefill() {
   if (prefill_running_ || prefill_queue_.empty()) return;
 
   auto batch = std::make_unique<PrefillBatch>();
+  Bytes kv_per_gpu = 0.0;
   while (!prefill_queue_.empty()) {
     // Reused prefix tokens skip prefill: the batch is costed (and the
     // token budget charged) on what actually runs through the pipeline.
@@ -342,6 +344,10 @@ void ClusterSim::try_start_prefill() {
     }
     batch->k_in += next_tokens;
     batch->k_in2 += next_tokens * next_tokens;
+    // Only freshly prefilled tokens produce KV on the prefill side; the
+    // reused prefix already lives in the decode cluster's cache.
+    kv_per_gpu += opts_.model.kv_transfer_bytes_per_gpu(
+        next_tokens, plan_.prefill.parallel.p_tens);
     batch->requests.push_back(std::move(prefill_queue_.front()));
     prefill_queue_.pop_front();
   }
@@ -359,54 +365,17 @@ void ClusterSim::try_start_prefill() {
     m->gauge("serve.prefill_queue")
         .set(now, static_cast<double>(prefill_queue_.size()));
   }
-  // Stage chain + per-pair KV transfers run to a joint barrier.
-  batch->barrier = 1;
+  // The stage chain and the layer-streamed KV move (kv_move.hpp), which
+  // overlaps prefill compute, run to a joint barrier.
+  batch->barrier = 2;
   prefill_running_ = std::move(batch);
-  start_kv_transfers(*prefill_running_);
+  const std::size_t flows =
+      send_kv(*network_, *scheduler_, kv_shards_, kv_per_gpu,
+              [this] { on_prefill_piece_done(); });
+  if (obs::MetricsRegistry* m = simulator().metrics(); m && flows > 0) {
+    m->counter("serve.kv_transfers").add(flows);
+  }
   run_prefill_stage(0);
-}
-
-void ClusterSim::start_kv_transfers(PrefillBatch& batch) {
-  // Layer-streamed KV transfer modeled as one concurrent flow per
-  // (prefill GPU -> paired decode GPU), overlapped with prefill compute.
-  Bytes per_gpu = 0.0;
-  for (const auto& ar : batch.requests) {
-    // Only freshly prefilled tokens produce KV on the prefill side; the
-    // reused prefix already lives in the decode cluster's cache.
-    per_gpu += opts_.model.kv_transfer_bytes_per_gpu(
-        effective_tokens(*ar), plan_.prefill.parallel.p_tens);
-  }
-  if (per_gpu <= 0.0 || prefill_gpus_.empty()) return;
-  obs::EventTracer* tr = simulator().tracer();
-  for (std::size_t i = 0; i < prefill_gpus_.size(); ++i) {
-    const std::size_t j =
-        planner::kv_pair(i, prefill_gpus_.size(), decode_gpus_.size());
-    const topo::Path path =
-        scheduler_->unicast_path(prefill_gpus_[i], decode_gpus_[j]);
-    ++batch.barrier;
-    std::uint64_t span = 0;
-    if (tr) {
-      span = tr->next_async_id();
-      tr->async_begin(
-          simulator().now(), span, "kv", "kv_transfer",
-          {obs::arg("bytes", per_gpu),
-           obs::arg("src", network_->graph().node(prefill_gpus_[i]).name),
-           obs::arg("dst", network_->graph().node(decode_gpus_[j]).name)});
-    }
-    net::TransferOptions opts;
-    opts.pipelined = true;  // RDMA bulk stream, not per-hop store-and-forward
-    opts.on_complete = [this, tr, span](net::TransferId) {
-      if (tr) {
-        tr->async_end(simulator().now(), span, "kv", "kv_transfer", {});
-      }
-      on_prefill_piece_done();
-    };
-    network_->start_transfer(path, per_gpu, std::move(opts));
-  }
-  if (obs::MetricsRegistry* m = simulator().metrics()) {
-    m->counter("serve.kv_transfers")
-        .add(static_cast<std::uint64_t>(prefill_gpus_.size()));
-  }
 }
 
 void ClusterSim::run_prefill_stage(std::size_t stage_index) {

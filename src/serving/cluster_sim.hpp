@@ -33,6 +33,7 @@
 #include "gpusim/kernel_model.hpp"
 #include "kvtier/prefix_cache.hpp"
 #include "planner/planner.hpp"
+#include "serving/kv_move.hpp"
 #include "workload/trace.hpp"
 
 namespace hero::serve {
@@ -230,6 +231,7 @@ class ClusterSim {
   std::vector<Stage> decode_stages_;
   std::vector<topo::NodeId> prefill_gpus_;
   std::vector<topo::NodeId> decode_gpus_;
+  std::vector<KvShard> kv_shards_;  ///< prefill -> decode KV hand-off
 
   // Request flow.
   std::deque<std::unique_ptr<ActiveRequest>> prefill_queue_;
@@ -260,7 +262,6 @@ class ClusterSim {
   void try_start_prefill();
   void run_prefill_stage(std::size_t stage_index);
   void on_prefill_piece_done();
-  void start_kv_transfers(PrefillBatch& batch);
   void try_admit_decode();
   void start_decode_iteration();
   void on_decode_iteration_done(std::size_t batch_size);

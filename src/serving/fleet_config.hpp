@@ -48,11 +48,10 @@ struct AutoscaleConfig {
   /// the SLA headroom a replica keeps for bursts within one tick.
   double target_utilization = 0.65;
   /// Hysteresis band: scale up when demand exceeds
-  /// `scale_up_threshold * target_utilization * capacity`; scale down only
-  /// when the post-removal fleet would still sit below
+  /// `target_utilization * capacity`; scale down only when the
+  /// post-removal fleet would still sit below
   /// `scale_down_threshold * target_utilization * (capacity - victim)`.
   /// The gap between the two is what keeps a flat trace action-free.
-  double scale_up_threshold = 1.0;
   double scale_down_threshold = 0.7;
   /// Replica spin-up delay between planning a scale-up and the instance
   /// accepting traffic (model load + KV-cache allocation, simulated).
@@ -60,7 +59,6 @@ struct AutoscaleConfig {
   /// Minimum simulated time between scaling decisions (either direction).
   Time cooldown = 10.0;
   std::size_t min_instances = 1;
-  std::size_t max_instances = 64;
 };
 
 /// Controller activity totals, reported in FleetReport::autoscale (all

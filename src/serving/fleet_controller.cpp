@@ -10,6 +10,12 @@
 #include "obs/trace.hpp"
 
 namespace hero::serve {
+namespace {
+
+/// Upper bound on live instances; a scale-up past it is never planned.
+constexpr std::size_t kMaxInstances = 64;
+
+}  // namespace
 
 FleetController::FleetController(FleetSim& fleet,
                                  planner::PlannerInputs replica_inputs)
@@ -204,8 +210,8 @@ void FleetController::tick() {
   const Rate capacity = live_capacity();
   const std::size_t live = live_count();
   const double target = cfg.target_utilization;
-  if (cooled && live < cfg.max_instances &&
-      rate_ewma_ > cfg.scale_up_threshold * target * raw(capacity)) {
+  if (cooled && live < kMaxInstances &&
+      rate_ewma_ > target * raw(capacity)) {
     scale_up(now);
   } else if (cooled && live > cfg.min_instances && draining_.empty() &&
              pending_deploys_ == 0) {

@@ -140,49 +140,30 @@ void FleetSim::start_prefix_stream(const RouteDecision& decision,
         .add(static_cast<std::uint64_t>(raw(decision.stream_bytes)));
   }
 
-  const auto& sdec = instances_[from]->decode_gpu_ids();
-  const auto& ddec = instances_[to]->decode_gpu_ids();
-  if (sdec.empty() || ddec.empty() || decision.stream_bytes <= 0.0) {
-    // Nothing to move (degenerate plan); complete synchronously.
-    finish_prefix_stream(from, to, request, tokens);
-    return;
-  }
-  // One pipelined flow per source decode GPU to its paired destination
-  // GPU — the same sharding the router's quote priced. The route may differ:
-  // the quote priced the static shortest path, while unicast_path picks
-  // (for HeroServe) the least-loaded of its alternates.
-  const Bytes per_src =
-      decision.stream_bytes / static_cast<double>(sdec.size());
-  auto barrier = std::make_shared<std::size_t>(sdec.size());
-  for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const topo::Path path = scheduler_->unicast_path(
-        sdec[i], ddec[planner::kv_pair(i, sdec.size(), ddec.size())]);
-    net::TransferOptions topts;
-    topts.pipelined = true;  // RDMA bulk stream
-    topts.on_complete = [this, barrier, from, to, request,
-                         tokens](net::TransferId) {
-      if (--*barrier != 0) return;
-      finish_prefix_stream(from, to, request, tokens);
-    };
-    network_->start_transfer(path, per_src, std::move(topts));
-  }
-}
-
-void FleetSim::finish_prefix_stream(std::size_t from, std::size_t to,
-                                    const wl::Request& request,
-                                    std::size_t tokens) {
-  instances_.at(from)->unpin_prefix(request.session_id, tokens);
-  // Adoption publishes the streamed coverage at the destination (capacity
-  // permitting) and mirrors it into the directory, so the submit below
-  // finds it as a local hit — and the *next* turn of the session routes
-  // to `to` directly.
-  instances_.at(to)->adopt_prefix(request.session_id, tokens);
-  HERO_INVARIANT(stream_busy_.at(from) > 0 && stream_busy_.at(to) > 0,
-                 "prefix stream {} -> {} finished without busy marks", from,
-                 to);
-  --stream_busy_.at(from);
-  --stream_busy_.at(to);
-  instances_.at(to)->submit(request);
+  // One flow per source decode GPU (kv_move.hpp); a degenerate plan with
+  // nothing to move completes synchronously.
+  const std::vector<KvShard> shards = kv_shards(
+      instances_[from]->decode_gpu_ids(), instances_[to]->decode_gpu_ids());
+  const Bytes shard_bytes =
+      shards.empty()
+          ? Bytes{0.0}
+          : decision.stream_bytes / static_cast<double>(shards.size());
+  send_kv(*network_, *scheduler_, shards, shard_bytes,
+          [this, from, to, request, tokens] {
+            instances_.at(from)->unpin_prefix(request.session_id, tokens);
+            // Adoption publishes the streamed coverage at the destination
+            // (capacity permitting) and mirrors it into the directory, so
+            // the submit below finds it as a local hit — and the *next*
+            // turn of the session routes to `to` directly.
+            instances_.at(to)->adopt_prefix(request.session_id, tokens);
+            HERO_INVARIANT(
+                stream_busy_.at(from) > 0 && stream_busy_.at(to) > 0,
+                "prefix stream {} -> {} finished without busy marks", from,
+                to);
+            --stream_busy_.at(from);
+            --stream_busy_.at(to);
+            instances_.at(to)->submit(request);
+          });
 }
 
 FleetReport FleetSim::run(const wl::Trace& trace) {

@@ -157,9 +157,6 @@ class FleetSim {
   /// pipelined fabric flows, adopt at the destination, then submit.
   void start_prefix_stream(const RouteDecision& decision,
                            const wl::Request& request);
-  void finish_prefix_stream(std::size_t from, std::size_t to,
-                            const wl::Request& request,
-                            std::size_t tokens);
 };
 
 }  // namespace hero::serve

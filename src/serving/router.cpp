@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
+#include "serving/kv_move.hpp"
 #include "topology/paths.hpp"
 
 namespace hero::serve {
@@ -58,20 +59,14 @@ Router::Router(net::FlowNetwork& network, FleetConfig config)
 std::size_t Router::add_instance(ClusterSim& instance) {
   Instance inst;
   inst.sim = &instance;
-  // Static pairing paths: GPU i of the prefill cluster streams its KV shard
-  // to its planner::kv_pair decode GPU (the serving simulator's mapping).
-  // The route is the plain shortest path — the *load* is applied at dispatch
-  // time through the fair-share bandwidth vector, so the estimate follows
-  // congestion without perturbing any scheduler state. The simulator itself
-  // sends KV over CommScheduler::unicast_path, which for HeroServe is the
-  // load-aware pick among alternates and may differ from this path.
-  const auto& pre = instance.prefill_gpu_ids();
-  const auto& dec = instance.decode_gpu_ids();
-  inst.kv_paths.reserve(pre.size());
-  for (std::size_t i = 0; i < pre.size() && !dec.empty(); ++i) {
-    auto path = routes_.path(pre[i],
-                             dec[planner::kv_pair(i, pre.size(), dec.size())]);
-    if (path) inst.kv_paths.push_back(std::move(*path));
+  // Each KV shard's static path (kv_move.hpp). The load is applied at
+  // dispatch time through the fair-share estimate, so the estimate follows
+  // congestion without perturbing any scheduler state.
+  for (const auto& [src, dst] :
+       kv_shards(instance.prefill_gpu_ids(), instance.decode_gpu_ids())) {
+    if (auto path = routes_.path(src, dst)) {
+      inst.kv_paths.push_back(std::move(*path));
+    }
   }
   instances_.push_back(std::move(inst));
   dispatched_.push_back(0);
@@ -122,7 +117,6 @@ ArrivalContext Router::make_context(const wl::Request& request) const {
     if (config_.policy == RouterPolicy::kHeroServe) {
       probe.kv_path_estimates.reserve(inst.kv_paths.size());
       for (const topo::Path& path : inst.kv_paths) {
-        if (path.edges.empty()) continue;  // co-located pair
         probe.kv_path_estimates.push_back(network_->estimate_path(path));
       }
     }
@@ -186,24 +180,17 @@ double Router::cost_for(const Instance& inst, const InstanceProbe& probe,
                             plan.t_decode;
 
   // KV-transfer latency over the current flow network: the request's
-  // per-GPU KV shard across the worst pairing path at the rate a new flow
-  // would be admitted at (pipelined stream: PathEstimate's post-admission
-  // fair share + fixed hop latencies). Fair share — not residual: under
-  // max-min sharing a saturated link admits a new flow at C/(n+1) by
-  // squeezing the others, while its residual reads zero, which would send
-  // every instance's estimate to infinity at once and collapse the
-  // comparison into the lowest-id tie-break — the exact herding the cost
-  // model exists to prevent.
-  Time kv_s = 0.0;
-  const Bytes bytes = opts.model.kv_transfer_bytes_per_gpu(
-      fresh_tokens, plan.prefill.parallel.p_tens);
-  for (const net::PathEstimate& est : probe.kv_path_estimates) {
-    const Time latency =
-        (est.fair_share > 0 ? bytes / est.fair_share
-                            : std::numeric_limits<Time>::infinity()) +
-        est.latency;
-    kv_s = std::max(kv_s, latency);
-  }
+  // per-GPU KV shard across the slowest pairing path at the rate a new
+  // flow would be admitted at. Fair share — not residual: under max-min
+  // sharing a saturated link admits a new flow at C/(n+1) by squeezing the
+  // others, while its residual reads zero, which would send every
+  // instance's estimate to infinity at once and collapse the comparison
+  // into the lowest-id tie-break — the exact herding the cost model exists
+  // to prevent.
+  const Time kv_s = slowest_shard(
+      probe.kv_path_estimates,
+      opts.model.kv_transfer_bytes_per_gpu(fresh_tokens,
+                                           plan.prefill.parallel.p_tens));
 
   return raw(queue_s + completion_s + kv_s);
 }
@@ -227,31 +214,20 @@ Time Router::stream_quote(std::size_t from, std::size_t to,
                           std::size_t tokens, Bytes* bytes) const {
   const ClusterSim& src = *instances_.at(from).sim;
   const ClusterSim& dst = *instances_.at(to).sim;
-  const auto& sdec = src.decode_gpu_ids();
-  const auto& ddec = dst.decode_gpu_ids();
   const Bytes total =
       src.options().model.kv_bytes_per_token() * static_cast<double>(tokens);
   if (bytes) *bytes = total;
-  if (sdec.empty() || ddec.empty()) {
-    return std::numeric_limits<Time>::infinity();
-  }
-  // The blocks are sharded over the source's decode GPUs; each shard rides
-  // its own flow to the paired destination GPU (planner::kv_pair, the same
-  // mapping every KV stream in the simulator uses). The quote is the
-  // slowest shard at live admission rates, priced on the static shortest
-  // path; FleetSim sends the shards over unicast_path instead.
-  const Bytes per_src = total / static_cast<double>(sdec.size());
-  Time worst = 0.0;
-  for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const auto path = routes_.path(
-        sdec[i], ddec[planner::kv_pair(i, sdec.size(), ddec.size())]);
+  const auto shards = kv_shards(src.decode_gpu_ids(), dst.decode_gpu_ids());
+  if (shards.empty()) return std::numeric_limits<Time>::infinity();
+  std::vector<net::PathEstimate> estimates;
+  estimates.reserve(shards.size());
+  for (const auto& [from_gpu, to_gpu] : shards) {
+    const auto path = routes_.path(from_gpu, to_gpu);
     if (!path) return std::numeric_limits<Time>::infinity();
-    if (path->edges.empty()) continue;  // same GPU (cannot happen cross-instance)
-    const net::PathEstimate est = network_->estimate_path(*path);
-    if (est.fair_share <= 0) return std::numeric_limits<Time>::infinity();
-    worst = std::max(worst, per_src / est.fair_share + est.latency);
+    estimates.push_back(network_->estimate_path(*path));
   }
-  return worst;
+  return slowest_shard(estimates,
+                       total / static_cast<double>(shards.size()));
 }
 
 RouteDecision Router::route(const ArrivalContext& ctx) {

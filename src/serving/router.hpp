@@ -58,8 +58,8 @@ struct InstanceProbe {
   bool active = false;  ///< eligible for dispatch right now
   LoadSnapshot load;
   KvSnapshot kv;
-  /// Live estimates of the instance's static prefill->decode pairing
-  /// paths (co-located pairs omitted). Sampled only for the hero policy.
+  /// Live estimates of the instance's static prefill->decode KV shard
+  /// paths (kv_move.hpp). Sampled only for the hero policy.
   std::vector<net::PathEstimate> kv_path_estimates;
   /// Block-aligned tokens of the request's prefix this instance has cached
   /// (0 unless the fleet fills it from the per-instance caches).
@@ -114,10 +114,9 @@ class Router {
 
   /// Register an instance; returns its id (assignment order). Callable
   /// mid-run — a scaled-up replica joins the dispatch set at the instant
-  /// it is added. The KV term uses the instance's static prefill->decode
-  /// pairing paths (same i -> i * |dec| / |pre| mapping the serving
-  /// simulator streams over), probed against the network's live link state
-  /// via estimate_path() at dispatch time.
+  /// it is added. The KV term prices the instance's prefill->decode KV
+  /// shards (kv_move.hpp) on their static paths, probed against the
+  /// network's live link state via estimate_path() at dispatch time.
   std::size_t add_instance(ClusterSim& instance);
 
   /// Stop dispatching to `id` (in-flight requests keep running). No-op on
@@ -167,7 +166,7 @@ class Router {
 
   struct Instance {
     ClusterSim* sim = nullptr;
-    /// Static shortest paths of the KV pairing (one per prefill GPU).
+    /// Static shortest paths of the KV shards (one per prefill GPU).
     std::vector<topo::Path> kv_paths;
     State state = State::kActive;
   };
@@ -187,7 +186,7 @@ class Router {
   /// Ids of active instances, ascending (the dispatch set of one route()).
   [[nodiscard]] std::vector<std::size_t> active_ids() const;
   /// Quote streaming `tokens` of KV from `from`'s decode GPUs to `to`'s
-  /// over the live fabric (worst pairing path; infinity when unreachable).
+  /// over the live fabric (slowest shard; infinity when unreachable).
   [[nodiscard]] Time stream_quote(std::size_t from, std::size_t to,
                                   std::size_t tokens, Bytes* bytes) const;
   /// Quote recomputing `tokens` at `id`'s planned prefill token rate.

@@ -8,6 +8,13 @@
 namespace hero::topo {
 namespace {
 
+/// Rack uplink oversubscription of make_fleet_cluster: the ToR->core
+/// capacity is the rack's aggregate GPU NIC bandwidth divided by this
+/// factor (split evenly over the core switches). 1.0 = full bisection;
+/// datacenter racks typically run 2:1-4:1, which is what makes cross-rack
+/// KV traffic interesting.
+constexpr double kRackOversubscription = 4.0;
+
 /// Intra-server clique among the GPUs of one server. With NVLink every
 /// pair gets the full-bandwidth edge; with PCIe (SVII future work) the
 /// server splits into two NUMA domains (first half / second half of the
@@ -90,7 +97,7 @@ Graph make_testbed(const TestbedOptions& opts) {
       const NodeId gpu = g.add_gpu(
           strfmt("w{}g{}", server, i),
           is_a100 ? GpuModel::kA100_40 : GpuModel::kV100_32,
-          is_a100 ? opts.a100_memory : opts.v100_memory, server);
+          is_a100 ? 40.0 * units::GB : 32.0 * units::GB, server);
       gpus.push_back(gpu);
       // Cross-connected uplinks: GPU i goes to switch (i % 2).
       g.add_edge(gpu, switches[static_cast<std::size_t>(i % 2)],
@@ -151,8 +158,8 @@ Graph make_tracks_cluster(const TracksOptions& opts) {
       gpus.reserve(opts.gpus_per_server);
       for (std::int32_t i = 0; i < opts.gpus_per_server; ++i) {
         const NodeId gpu =
-            g.add_gpu(strfmt("s{}g{}", server_id, i), opts.gpu_model,
-                      opts.gpu_memory, server_id);
+            g.add_gpu(strfmt("s{}g{}", server_id, i), GpuModel::kA100_40,
+                      40.0 * units::GB, server_id);
         gpus.push_back(gpu);
         g.add_edge(gpu, access[static_cast<std::size_t>(i % opts.tracks)],
                    LinkKind::kEthernet, opts.links.ethernet,
@@ -167,11 +174,8 @@ Graph make_tracks_cluster(const TracksOptions& opts) {
 
 Graph make_fleet_cluster(const FleetClusterOptions& opts) {
   if (opts.racks <= 0 || opts.servers_per_rack <= 0 ||
-      opts.gpus_per_server <= 0 || opts.core_switches <= 0 ||
-      opts.oversubscription < 1.0) {
-    throw std::invalid_argument(
-        "make_fleet_cluster: sizes must be positive and "
-        "oversubscription >= 1");
+      opts.gpus_per_server <= 0 || opts.core_switches <= 0) {
+    throw std::invalid_argument("make_fleet_cluster: sizes must be positive");
   }
   Graph g;
 
@@ -188,7 +192,7 @@ Graph make_fleet_cluster(const FleetClusterOptions& opts) {
       static_cast<double>(opts.servers_per_rack * opts.gpus_per_server) *
       opts.links.ethernet;
   const Bandwidth uplink_bw =
-      rack_nic_bw / (opts.oversubscription *
+      rack_nic_bw / (kRackOversubscription *
                      static_cast<double>(opts.core_switches));
 
   std::int32_t server_id = 0;
@@ -201,22 +205,19 @@ Graph make_fleet_cluster(const FleetClusterOptions& opts) {
                  opts.links.ethernet_latency);
     }
     // Heterogeneous fleets rack whole hardware classes: rack r's servers
-    // all carry rack_hardware[r % size] (uniform model/memory when unset).
-    GpuModel rack_model = opts.gpu_model;
-    Bytes rack_memory = opts.gpu_memory;
+    // all carry rack_hardware[r % size] (uniform A100-80 when unset).
+    FleetClusterOptions::RackHardware hw;
     if (!opts.rack_hardware.empty()) {
-      const auto& hw = opts.rack_hardware[static_cast<std::size_t>(r) %
-                                          opts.rack_hardware.size()];
-      rack_model = hw.model;
-      rack_memory = hw.memory;
+      hw = opts.rack_hardware[static_cast<std::size_t>(r) %
+                              opts.rack_hardware.size()];
     }
     for (std::int32_t s = 0; s < opts.servers_per_rack; ++s) {
       std::vector<NodeId> gpus;
       gpus.reserve(opts.gpus_per_server);
       for (std::int32_t i = 0; i < opts.gpus_per_server; ++i) {
         const NodeId gpu =
-            g.add_gpu(strfmt("s{}g{}", server_id, i), rack_model,
-                      rack_memory, server_id);
+            g.add_gpu(strfmt("s{}g{}", server_id, i), hw.model, hw.memory,
+                      server_id);
         gpus.push_back(gpu);
         g.add_edge(gpu, tor, LinkKind::kEthernet, opts.links.ethernet,
                    opts.links.ethernet_latency);

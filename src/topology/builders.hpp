@@ -48,8 +48,6 @@ struct LinkSpec {
 struct TestbedOptions {
   LinkSpec links;
   std::int32_t gpus_per_server = 4;
-  Bytes a100_memory = 40.0 * units::GB;
-  Bytes v100_memory = 32.0 * units::GB;
 };
 
 /// Fig. 6 testbed: servers w0,w1 are A100-40 and w2,w3 are V100-32, each GPU
@@ -66,13 +64,11 @@ struct TracksOptions {
   std::int32_t tracks = 2;            ///< access switches per pod
   std::int32_t servers_per_pod = 6;   ///< 6 for 2tracks, 16 for 8tracks (SV)
   std::int32_t core_switches = 3;
-  GpuModel gpu_model = GpuModel::kA100_40;
-  Bytes gpu_memory = 40.0 * units::GB;
 };
 
 /// x-tracks simulation pods: within a pod, GPU i of every server uplinks to
 /// pod access switch (i % tracks); every access switch connects to every
-/// core switch. GPUs in one server form an NVLink clique.
+/// core switch. GPUs (A100-40) in one server form an NVLink clique.
 [[nodiscard]] Graph make_tracks_cluster(const TracksOptions& opts = {});
 
 struct FleetClusterOptions {
@@ -81,16 +77,9 @@ struct FleetClusterOptions {
   std::int32_t servers_per_rack = 4;  ///< S servers under each ToR
   std::int32_t gpus_per_server = 8;
   std::int32_t core_switches = 2;
-  /// Rack uplink oversubscription: the ToR->core capacity is the rack's
-  /// aggregate GPU NIC bandwidth divided by this factor (split evenly over
-  /// the core switches). 1.0 = full bisection; datacenter racks typically
-  /// run 2:1-4:1, which is what makes cross-rack KV traffic interesting.
-  double oversubscription = 4.0;
-  GpuModel gpu_model = GpuModel::kA100_80;
-  Bytes gpu_memory = 80.0 * units::GB;
   /// Heterogeneous pools: when non-empty, rack r gets rack_hardware[r %
-  /// size] instead of the uniform gpu_model/gpu_memory above — whole racks
-  /// of one hardware class, the way mixed fleets are actually racked.
+  /// size] instead of uniform A100-80 GPUs — whole racks of one hardware
+  /// class, the way mixed fleets are actually racked.
   struct RackHardware {
     GpuModel model = GpuModel::kA100_80;
     Bytes memory = 80.0 * units::GB;
@@ -100,7 +89,7 @@ struct FleetClusterOptions {
 
 /// Rack-scale fleet fabric for multi-instance serving: R racks of S
 /// NVLink-clique servers, every GPU uplinked to its rack's ToR switch, ToRs
-/// wired to every core switch over oversubscribed uplinks. Server naming
+/// wired to every core switch over 4:1 oversubscribed uplinks. Server naming
 /// continues the s{}g{} idiom; ToRs are "rack{}", cores "core{}".
 [[nodiscard]] Graph make_fleet_cluster(const FleetClusterOptions& opts = {});
 

@@ -8,6 +8,9 @@
 namespace hero::wl {
 namespace {
 
+/// System-prompt tokens prepended to every multi-turn session's first turn.
+constexpr std::size_t kSystemPromptTokens = 256;
+
 std::size_t sample_length(Rng& rng, double mu, double sigma, std::size_t lo,
                           std::size_t hi) {
   const double v = rng.lognormal(mu, sigma);
@@ -218,7 +221,7 @@ Trace generate_multiturn_trace(const MultiturnOptions& opts) {
       r.session_id = session_id;
       r.prefix_tokens = context;
       r.input_tokens =
-          context + user + (turn == 0 ? opts.system_prompt_tokens : 0);
+          context + user + (turn == 0 ? kSystemPromptTokens : 0);
       r.output_tokens = sample_length(rng, opts.base.lengths.output_mu,
                                       opts.base.lengths.output_sigma,
                                       opts.base.lengths.output_min,

@@ -111,8 +111,6 @@ struct MultiturnOptions {
   /// rate / mean_turns); count, lengths (per-turn user input + response
   /// lengths) and seed as usual. Burstiness fields are ignored.
   TraceOptions base;
-  /// System-prompt tokens prepended to every session's first turn.
-  std::size_t system_prompt_tokens = 256;
   /// Mean turns per multi-turn session (geometric, >= 1).
   double mean_turns = 4.0;
   /// Fraction of sessions that get follow-up turns at all; the rest are

@@ -3,9 +3,12 @@
 // the instance as a fleet of one, the way every serving run does.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "core/heroserve.hpp"
+#include "obs/trace.hpp"
+#include "serving/kv_move.hpp"
 
 namespace hero::serve {
 namespace {
@@ -345,6 +348,65 @@ TEST(ClusterSim, RetirePrefixCacheSilencesHookAndDropsCoverage) {
   // Adoption after retirement is refused.
   sim.adopt_prefix(12345, 256);
   EXPECT_EQ(sim.cached_prefix_tokens(12345), 0u);
+}
+
+// --- KV move (kv_move.hpp) -------------------------------------------
+
+TEST(KvMove, SlowestShardIsTheLatestArrival) {
+  net::PathEstimate fast, slow, starved;
+  fast.fair_share = 10.0;
+  fast.latency = 1.0;
+  slow.fair_share = 5.0;
+  slow.latency = 0.5;
+  starved.fair_share = 0.0;
+  // 100/10 + 1 = 11 and 100/5 + 0.5 = 20.5.
+  EXPECT_DOUBLE_EQ(raw(slowest_shard({fast, slow}, 100.0)), 20.5);
+  EXPECT_TRUE(std::isinf(raw(slowest_shard({fast, starved}, 100.0))));
+  EXPECT_DOUBLE_EQ(raw(slowest_shard({}, 100.0)), 0.0);
+}
+
+TEST(KvMove, ShardsFollowThePlannerPairing) {
+  using Shards = std::vector<KvShard>;
+  EXPECT_EQ(kv_shards({0, 1, 2, 3}, {10, 11}),
+            (Shards{{0, 10}, {1, 10}, {2, 11}, {3, 11}}));
+  EXPECT_EQ(kv_shards({0, 1}, {10, 11, 12, 13}), (Shards{{0, 10}, {1, 12}}));
+  EXPECT_TRUE(kv_shards({0, 1}, {}).empty());
+}
+
+TEST(KvMove, SendKvCallsDoneOnceAfterTheLastFlow) {
+  const topo::Graph graph = topo::make_testbed();
+  obs::EventTracer tracer;
+  sim::Simulator simulator;
+  simulator.attach(obs::Sink(&tracer, nullptr));
+  net::FlowNetwork network(simulator, graph);
+  baselines::StaticCommScheduler scheduler(
+      network, baselines::BaselineKind::kDistServe);
+  const std::vector<topo::NodeId> gpus = graph.gpus();
+  const std::vector<KvShard> shards =
+      kv_shards({gpus.begin(), gpus.begin() + 4},       // server w0
+                {gpus.begin() + 8, gpus.begin() + 10});  // server w2
+
+  std::size_t calls = 0;
+  std::uint64_t landed = 0;
+  EXPECT_EQ(send_kv(network, scheduler, shards, 64.0 * units::MB, [&] {
+              ++calls;
+              landed = tracer.count("kv", obs::Phase::kAsyncEnd);
+            }),
+            4u);
+  EXPECT_EQ(calls, 0u);
+  simulator.run();
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(landed, 4u);  // every shard had landed before done ran
+
+  // Nothing to move: done runs before send_kv returns, no flow starts.
+  const std::size_t events = tracer.event_count();
+  EXPECT_EQ(send_kv(network, scheduler, shards, 0.0, [&] { ++calls; }), 0u);
+  EXPECT_EQ(send_kv(network, scheduler, kv_shards({gpus[0]}, {}), 1.0,
+                    [&] { ++calls; }),
+            0u);
+  EXPECT_EQ(calls, 3u);
+  EXPECT_EQ(network.active_transfers(), 0u);
+  EXPECT_EQ(tracer.event_count(), events);
 }
 
 }  // namespace

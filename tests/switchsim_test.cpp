@@ -220,7 +220,8 @@ TEST(SwitchRegistry, RejectsNonSwitchNodes) {
   sim::Simulator sim;
   const topo::Graph g = topo::make_testbed();
   SwitchRegistry registry(sim, g);
-  EXPECT_THROW(registry.agent(g.gpus()[0]), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(registry.agent(g.gpus()[0])),
+               std::invalid_argument);
 }
 
 }  // namespace

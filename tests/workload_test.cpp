@@ -27,7 +27,8 @@ TEST(Trace, DeterministicForSeed) {
 }
 
 TEST(Trace, ArrivalsMonotoneAndIdsSequential) {
-  const Trace t = generate_trace({.rate = 5.0, .count = 100, .seed = 1});
+  const Trace t = generate_trace(
+      {.rate = 5.0, .count = 100, .lengths = {}, .seed = 1});
   for (std::size_t i = 1; i < t.size(); ++i) {
     EXPECT_GE(t[i].arrival, t[i - 1].arrival);
     EXPECT_EQ(t[i].id, i);

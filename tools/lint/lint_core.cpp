@@ -30,9 +30,6 @@ const RuleDoc kRuleDocs[] = {
     {"layer-violation",
      "include edge between src/ subsystems that the declared layer DAG "
      "(tools/lint/layers.txt) does not allow"},
-    {"mixed-dimension-arith",
-     "+/- combining unit-typed locals of different dimensions (e.g. "
-     "bytes + seconds)"},
     {"raw-unit-literal",
      "unit-typed variable set from a conversion-factor-shaped literal "
      "without a units:: factor"},
@@ -47,16 +44,11 @@ const RuleDoc kRuleDocs[] = {
     {"transitive-wall-clock",
      "wall-clock source reachable from simulator dispatch through the "
      "whole-program call graph"},
-    {"unconsumed-estimate",
-     "discarded result of estimate_path()/load(); both are pure queries"},
     {"uninit-member",
      "scalar/pointer struct member without an initializer"},
     {"unordered-iter",
      "iteration over an unordered container; order depends on the stdlib "
      "hash"},
-    {"unordered-iter-to-output",
-     "unordered-container iteration emitting into a trace/report sink; "
-     "output ordering would depend on the stdlib hash"},
     {"wall-clock",
      "ambient time source; simulated time comes from "
      "sim::Simulator::now()"},
@@ -261,9 +253,9 @@ void scan_uninit_member(const MaskedSource& src, const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// v2 flow-aware rules: run over the shared token stream (source_text.hpp)
-// plus a per-file symbol table of unit-typed locals. Tokens carry their
-// source line so findings stay clickable.
+// v2 rule (raw-unit-literal): runs over the shared token stream
+// (source_text.hpp) plus a per-file symbol table of unit-typed locals.
+// Tokens carry their source line so findings stay clickable.
 
 bool is_unit_type(const std::string& t) {
   static const std::set<std::string> kUnits = {
@@ -378,129 +370,6 @@ void scan_raw_unit_literal(const std::vector<Token>& toks,
   }
 }
 
-void scan_mixed_dimension_arith(
-    const std::vector<Token>& toks,
-    const std::map<std::string, std::string>& symbols,
-    const std::string& path, std::vector<Finding>& out) {
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    const Token& a = toks[i];
-    const Token& op = toks[i + 1];
-    const Token& b = toks[i + 2];
-    if (a.kind != Token::Kind::kIdent || b.kind != Token::Kind::kIdent) {
-      continue;
-    }
-    if (op.text != "+" && op.text != "-" && op.text != "+=" &&
-        op.text != "-=") {
-      continue;
-    }
-    // Member accesses (`x.bytes`) are not the locals the table knows, and
-    // an operand glued to * or / takes its dimension from the whole
-    // product (`chunk / bw + overhead` is Time + Time), so only bare
-    // `local (+|-) local` pairs are judged.
-    if (i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->" ||
-                  toks[i - 1].text == "::" || toks[i - 1].text == "*" ||
-                  toks[i - 1].text == "/")) {
-      continue;
-    }
-    if (i + 3 < toks.size() && (toks[i + 3].text == "." ||
-                                toks[i + 3].text == "->" ||
-                                toks[i + 3].text == "::" ||
-                                toks[i + 3].text == "(" ||
-                                toks[i + 3].text == "*" ||
-                                toks[i + 3].text == "/")) {
-      continue;
-    }
-    const auto ia = symbols.find(a.text);
-    const auto ib = symbols.find(b.text);
-    if (ia == symbols.end() || ib == symbols.end()) continue;
-    if (ia->second == ib->second) continue;
-    out.push_back({path, op.line, "mixed-dimension-arith",
-                   "'" + a.text + "' (" + ia->second + ") " + op.text +
-                       " '" + b.text + "' (" + ib->second +
-                       "): additive arithmetic across dimensions is "
-                       "always a unit bug"});
-  }
-}
-
-void scan_unconsumed_estimate(const std::vector<Token>& toks,
-                              const std::string& path,
-                              std::vector<Finding>& out) {
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        (toks[i].text != "estimate_path" && toks[i].text != "load")) {
-      continue;
-    }
-    if (toks[i + 1].text != "(") continue;
-    // Find the call's closing paren; the statement must end right after.
-    int depth = 0;
-    std::size_t close = i + 1;
-    for (; close < toks.size(); ++close) {
-      if (toks[close].text == "(") ++depth;
-      if (toks[close].text == ")" && --depth == 0) break;
-    }
-    if (close + 1 >= toks.size() || toks[close + 1].text != ";") continue;
-    // Walk back over the callee chain (`net . estimate_path`): the token
-    // before the chain tells whether the value is consumed.
-    std::size_t head = i;
-    while (head >= 2 && (toks[head - 1].text == "." ||
-                         toks[head - 1].text == "->" ||
-                         toks[head - 1].text == "::") &&
-           toks[head - 2].kind == Token::Kind::kIdent) {
-      head -= 2;
-    }
-    const std::string prev = head == 0 ? ";" : toks[head - 1].text;
-    if (prev == ";" || prev == "{" || prev == "}" || prev == ")") {
-      out.push_back({path, toks[i].line, "unconsumed-estimate",
-                     "result of '" + toks[i].text +
-                         "()' is discarded: it is a pure query, so the "
-                         "call without its value is dead (assign it or "
-                         "delete the call)"});
-    }
-  }
-}
-
-void scan_unordered_iter_to_output(const MaskedSource& src,
-                                   const std::string& path,
-                                   std::vector<Finding>& out) {
-  const std::set<std::string> names = unordered_names(src);
-  if (names.empty()) return;
-  static const std::regex range_for(
-      R"(for\s*\([^():]*:\s*\(?\s*\*?\s*([A-Za-z_]\w*)\s*\))");
-  static const std::regex sink(
-      R"(\b(instant|counter|begin_span|end_span|async_begin|async_end|add_row|printf|fprintf)\s*\()");
-  for (std::size_t i = 0; i < src.code.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(src.code[i], m, range_for) ||
-        !names.contains(m[1].str())) {
-      continue;
-    }
-    // Loop body: from the for-line to the line where brace depth returns
-    // to its pre-loop level (or the next ';' for a braceless body).
-    int depth = 0;
-    bool saw_brace = false;
-    for (std::size_t j = i; j < src.code.size() && j < i + 64; ++j) {
-      for (const char c : src.code[j]) {
-        if (c == '{') {
-          ++depth;
-          saw_brace = true;
-        } else if (c == '}') {
-          --depth;
-        }
-      }
-      if (std::regex_search(src.code[j], sink)) {
-        out.push_back(
-            {path, static_cast<int>(i) + 1, "unordered-iter-to-output",
-             "range-for over unordered container '" + m[1].str() +
-                 "' emits into a trace/report sink: emitted ordering "
-                 "would follow the stdlib hash; iterate sorted keys"});
-        break;
-      }
-      if (saw_brace && depth <= 0) break;
-      if (!saw_brace && src.code[j].find(';') != std::string::npos) break;
-    }
-  }
-}
-
 }  // namespace
 
 FileContext classify_path(const std::string& path) {
@@ -522,15 +391,12 @@ std::vector<Finding> raw_file_findings(const std::string& path,
 
   std::vector<Finding> raw;
   scan_unordered_iter(src, path, raw);
-  scan_unordered_iter_to_output(src, path, raw);
   scan_wall_clock(src, path, raw);
   if (!ctx.rng_module) scan_ambient_rng(src, path, raw);
   scan_float_equal(src, path, raw);
   if (ctx.library) scan_iostream(src, path, raw);
   scan_uninit_member(src, path, raw);
   scan_raw_unit_literal(toks, symbols, path, raw);
-  scan_mixed_dimension_arith(toks, symbols, path, raw);
-  scan_unconsumed_estimate(toks, path, raw);
 
   std::sort(raw.begin(), raw.end(), [](const Finding& a, const Finding& b) {
     if (a.line != b.line) return a.line < b.line;
@@ -552,12 +418,6 @@ LintReport lint_source_report(const std::string& path,
         .push_back(std::move(f));
   }
   return report;
-}
-
-std::vector<Finding> lint_source(const std::string& path,
-                                 const std::string& content,
-                                 const FileContext& ctx) {
-  return lint_source_report(path, content, ctx).findings;
 }
 
 const std::vector<std::string>& rule_ids() { return kRuleIds; }

@@ -7,62 +7,15 @@
 // or ambient randomness — and physically meaningful only while every
 // seconds/bytes/bandwidth value carries the dimension its variable
 // claims. hero-lint is a plain-text/token scanner (no libclang): v1
-// rules work line-by-line on comment-masked source; v2 rules run over a
-// token stream plus a per-file symbol table of unit-typed locals
-// (Time/Bytes/Bandwidth/Rate/Tokens/TokenRate/WorkUnits/WorkRate
-// declarations), which lets them reason about value flow. Rule catalog:
-//
-//   ambient-rng     ambient randomness (rand, srand, random_device,
-//                   mt19937, drand48) outside src/common/rng — all
-//                   stochastic behaviour flows from a seeded hero::Rng.
-//   float-equal     ==/!= against a floating-point literal — use an
-//                   epsilon or integer state instead.
-//   iostream        #include <iostream> in library code (src/) — library
-//                   targets log through common/log, never global streams.
-//   mixed-dimension-arith
-//                   + / - / += / -= combining two unit-typed locals of
-//                   different dimensions (e.g. `bytes + latency`): under
-//                   the plain-double build this compiles and silently
-//                   produces nonsense; under HERO_STRONG_UNITS it is a
-//                   compile error. The lint catches it in both modes.
-//   raw-unit-literal
-//                   a unit-typed variable initialized or assigned from a
-//                   bare "conversion-factor-shaped" literal expression —
-//                   scientific notation or magnitude >= 1000 — with no
-//                   units:: factor (e.g. `Bandwidth bw = 12.5e9;`).
-//                   Spell the unit: `12.5 * units::GBps`. Human-scale
-//                   base-unit values (`Time sla = 2.5;`) are accepted.
-//   unconsumed-estimate
-//                   a call to estimate_path(...) or .load(...) whose
-//                   result is discarded (expression statement): both are
-//                   pure queries, so a dropped return value is always a
-//                   bug — usually a missing assignment.
-//   uninit-member   scalar/pointer data member without an initializer in
-//                   a struct/class body — aggregate instances inherit
-//                   indeterminate values.
-//   unordered-iter  iteration (range-for / .begin()/.end()) over a
-//                   variable declared as std::unordered_map/set in the
-//                   same file — event ordering and fair-share tie-breaks
-//                   must not depend on the stdlib's hash function.
-//   unordered-iter-to-output
-//                   a range-for over an unordered container whose body
-//                   emits into a trace/report sink (tracer spans or
-//                   instants, counters, table rows, printf) — the
-//                   emitted artifact's ordering would depend on the
-//                   stdlib hash, breaking byte-identical reruns.
-//   wall-clock      ambient time sources (system_clock, steady_clock,
-//                   time(), clock(), gettimeofday) — simulated time comes
-//                   from sim::Simulator::now().
-//
-// v3 adds whole-program rules over a ProjectIndex/CallGraph (see
-// index.hpp and callgraph.hpp): `transitive-wall-clock`,
-// `transitive-rng`, and `transitive-unordered-iter` flag nondeterminism
-// sinks reachable from simulator dispatch across TU boundaries;
-// `layer-violation` and `include-cycle` police the include graph against
-// the declared layer DAG (tools/lint/layers.txt); `stale-suppression`
-// flags allow() comments that no longer suppress anything. Their docs
-// live in the shared rule catalogue below so --list-rules and the SARIF
-// rules table cover both tiers.
+// rules work line-by-line on comment-masked source; the v2 rule
+// (raw-unit-literal) runs over a token stream plus a per-file symbol table
+// of unit-typed locals; v3 adds whole-program rules over a
+// ProjectIndex/CallGraph (index.hpp, callgraph.hpp) and the declared layer
+// DAG (tools/lint/layers.txt). Each rule's one-line doc lives in the rule
+// catalogue in lint_core.cpp (`hero_lint --list-rules`, the SARIF rules
+// table); DESIGN.md -> "hero-lint" explains each rule and names the gates
+// that replaced the rules deleted because another check already fails on
+// their violations.
 //
 // Suppressions: `// hero-lint: allow(rule-a, rule-b)` on the finding's
 // line or the line directly above; `// hero-lint: allow-file(rule)`
@@ -115,11 +68,6 @@ struct LintReport {
 [[nodiscard]] std::vector<Finding> raw_file_findings(
     const std::string& path, const MaskedSource& src,
     const std::vector<Token>& toks, const FileContext& ctx);
-
-/// Back-compat wrapper: suppressed findings dropped.
-[[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
-                                               const std::string& content,
-                                               const FileContext& ctx);
 
 /// Stable (sorted) list of every rule id.
 [[nodiscard]] const std::vector<std::string>& rule_ids();
