@@ -9,6 +9,7 @@
 //   ./build/examples/chatbot_serving [requests] [--seed N]
 //                                    [--faults plan.json]
 #include <cstdio>
+#include <filesystem>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -33,9 +34,12 @@ int main(int argc, char** argv) {
   cfg.serving.sla_tpot = 0.15;
   if (!opts.faults_path.empty()) {
     cfg.fault_plan = cli::load_or_exit(
-        [&] { return faults::load_fault_plan(opts.faults_path); });
+        [&] {
+          return faults::load_fault_plan(opts.faults_path, cfg.topology);
+        });
     std::printf("loaded fault plan %s (%zu events)\n",
-                opts.faults_path.c_str(), cfg.fault_plan.events.size());
+                std::filesystem::path(opts.faults_path).filename().c_str(),
+                cfg.fault_plan.events.size());
   }
 
   std::printf(

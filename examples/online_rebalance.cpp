@@ -13,6 +13,7 @@
 // --faults a built-in plan degrades the w0g0->sw0 uplink to 10% at
 // t = 0.4 s; pass your own plan to script different chaos.
 #include <cstdio>
+#include <filesystem>
 
 #include "collectives/engine.hpp"
 #include "common/cli.hpp"
@@ -76,9 +77,13 @@ int main(int argc, char** argv) {
   // land immediately instead of at the next controller tick).
   faults::FaultPlan fault_plan;
   if (!cli_opts.faults_path.empty()) {
-    fault_plan = faults::load_fault_plan(cli_opts.faults_path);
-    std::printf("loaded fault plan %s (%zu events)\n",
-                cli_opts.faults_path.c_str(), fault_plan.events.size());
+    fault_plan = cli::load_or_exit([&] {
+      return faults::load_fault_plan(cli_opts.faults_path, graph);
+    });
+    std::printf(
+        "loaded fault plan %s (%zu events)\n",
+        std::filesystem::path(cli_opts.faults_path).filename().c_str(),
+        fault_plan.events.size());
   } else {
     faults::FaultEvent degrade;
     degrade.kind = faults::FaultKind::kLinkDegrade;

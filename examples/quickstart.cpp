@@ -21,6 +21,7 @@
 // hero). The positional rate is fleet-wide.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "common/cli.hpp"
@@ -37,12 +38,6 @@ namespace {
 int run_fleet(const hero::cli::Options& opts, hero::ExperimentConfig cfg,
               double rate, std::size_t requests) {
   using namespace hero;
-  topo::FleetClusterOptions fabric;
-  // One rack per instance (min 4) keeps the planner packing comfortable
-  // while leaving rack uplinks oversubscribed enough to matter.
-  fabric.racks = static_cast<std::int32_t>(
-      opts.instances > 4 ? opts.instances : 4);
-  cfg.topology = topo::make_fleet_cluster(fabric);
   cfg.fleet.instances = opts.instances;
   cfg.fleet.policy = serve::RouterPolicy::kHeroServe;
   if (!opts.router.empty()) {
@@ -128,7 +123,17 @@ int main(int argc, char** argv) {
   // --full-solve swaps the incremental max-min engine for the whole-fabric
   // solve; output must be byte-identical (the determinism gate diffs them).
   cfg.netsim.full_solve = opts.full_solve;
-  cfg.topology = topo::make_testbed();
+  if (opts.instances > 1) {
+    // Fleet mode serves on a rack-scale cluster. One rack per instance
+    // (min 4) keeps the planner packing comfortable while leaving rack
+    // uplinks oversubscribed enough to matter.
+    topo::FleetClusterOptions fabric;
+    fabric.racks = static_cast<std::int32_t>(
+        opts.instances > 4 ? opts.instances : 4);
+    cfg.topology = topo::make_fleet_cluster(fabric);
+  } else {
+    cfg.topology = topo::make_testbed();
+  }
   cfg.serving.model = llm::opt_66b();
   cfg.workload.rate = rate;
   cfg.workload.count = requests;
@@ -139,9 +144,12 @@ int main(int argc, char** argv) {
   cfg.serving.sla_tpot = 0.15;
   if (!opts.faults_path.empty()) {
     cfg.fault_plan = cli::load_or_exit(
-        [&] { return faults::load_fault_plan(opts.faults_path); });
+        [&] {
+          return faults::load_fault_plan(opts.faults_path, cfg.topology);
+        });
     std::printf("loaded fault plan %s (%zu events)\n",
-                opts.faults_path.c_str(), cfg.fault_plan.events.size());
+                std::filesystem::path(opts.faults_path).filename().c_str(),
+                cfg.fault_plan.events.size());
   }
 
   if (opts.instances > 1) return run_fleet(opts, cfg, rate, requests);

@@ -11,6 +11,7 @@
 // https://ui.perfetto.dev. With --faults, the plan is replayed against the
 // first serve (faults/fault_plan.hpp).
 #include <cstdio>
+#include <filesystem>
 
 #include "common/cli.hpp"
 #include "core/heroserve.hpp"
@@ -23,10 +24,11 @@ using namespace hero;
 
 namespace {
 
-void serve_trace(const wl::Trace& trace, const char* label, obs::Sink sink,
+void serve_trace(const topo::Graph& topology, const wl::Trace& trace,
+                 const char* label, obs::Sink sink,
                  faults::FaultPlan fault_plan = {}) {
   ExperimentConfig cfg;
-  cfg.topology = topo::make_testbed();
+  cfg.topology = topology;
   cfg.serving.model = llm::opt_66b();
   cfg.serving.sla_ttft = 2.5;
   cfg.serving.sla_tpot = 0.15;
@@ -100,19 +102,21 @@ int main(int argc, char** argv) {
     trace = wl::rescale_rate(std::move(trace), rate);
   }
 
+  const topo::Graph testbed = topo::make_testbed();
   faults::FaultPlan fault_plan;
   if (!opts.faults_path.empty()) {
     fault_plan = cli::load_or_exit(
-        [&] { return faults::load_fault_plan(opts.faults_path); });
+        [&] { return faults::load_fault_plan(opts.faults_path, testbed); });
     std::printf("loaded fault plan %s (%zu events)\n",
-                opts.faults_path.c_str(), fault_plan.events.size());
+                std::filesystem::path(opts.faults_path).filename().c_str(),
+                fault_plan.events.size());
   }
 
   // Record the first replay only: each replay runs on a fresh simulator
   // whose clock restarts at zero, so a shared trace file would interleave.
   obs::EventTracer tracer;
   obs::MetricsRegistry metrics;
-  serve_trace(trace, "as recorded",
+  serve_trace(testbed, trace, "as recorded",
               opts.trace_path.empty() ? obs::Sink()
                                       : obs::Sink(&tracer, &metrics),
               std::move(fault_plan));
@@ -122,7 +126,8 @@ int main(int argc, char** argv) {
                   tracer.event_count(), opts.trace_path.c_str());
     }
   }
-  serve_trace(wl::rescale_rate(trace, wl::summarize(trace).mean_rate * 2.0),
+  serve_trace(testbed,
+              wl::rescale_rate(trace, wl::summarize(trace).mean_rate * 2.0),
               "replayed at 2x rate", obs::Sink());
   return 0;
 }

@@ -1,8 +1,6 @@
 #include "faults/injector.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #include "common/check.hpp"
 #include "common/format.hpp"
@@ -12,94 +10,25 @@
 #include "online/scheduler.hpp"
 
 namespace hero::faults {
-namespace {
-
-topo::NodeId node_by_name(const topo::Graph& g, const std::string& name) {
-  for (topo::NodeId id = 0;
-       id < static_cast<topo::NodeId>(g.node_count()); ++id) {
-    if (g.node(id).name == name) return id;
-  }
-  throw std::invalid_argument(strfmt("fault target: no node \"{}\"", name));
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(net::FlowNetwork& network, FaultPlan plan,
                              Hooks hooks)
     : network_(&network), plan_(std::move(plan)), hooks_(hooks) {}
 
-topo::NodeId FaultInjector::resolve_node(const FaultEvent& ev) const {
-  return node_by_name(network_->graph(), ev.target);
-}
-
-topo::EdgeId FaultInjector::resolve_edge(const FaultEvent& ev) const {
-  const std::size_t dash = ev.target.find('-');
-  if (dash == std::string::npos) {
-    throw std::invalid_argument(
-        strfmt("fault target \"{}\" is not an edge (want \"a-b\")",
-               ev.target));
-  }
-  const topo::Graph& g = network_->graph();
-  const topo::NodeId a = node_by_name(g, ev.target.substr(0, dash));
-  const topo::NodeId b = node_by_name(g, ev.target.substr(dash + 1));
-  for (const topo::Adjacency& adj : g.neighbors(a)) {
-    if (adj.peer == b) return adj.edge;
-  }
-  throw std::invalid_argument(
-      strfmt("fault target: no edge \"{}\"", ev.target));
-}
-
-void FaultInjector::validate(const FaultEvent& ev) const {
-  HERO_REQUIRE(ev.at >= 0.0 && ev.duration >= 0.0,
-               "fault {}: negative time", to_string(ev.kind));
-  switch (ev.kind) {
-    case FaultKind::kLinkDegrade:
-      HERO_REQUIRE(ev.magnitude > 0.0 && ev.magnitude <= 1.0,
-                   "link_degrade factor {} not in (0,1]", ev.magnitude);
-      (void)resolve_edge(ev);
-      break;
-    case FaultKind::kLinkFlap:
-      HERO_REQUIRE(ev.magnitude > 0.0 && ev.magnitude <= 1.0,
-                   "link_flap factor {} not in (0,1]", ev.magnitude);
-      HERO_REQUIRE(ev.count >= 1 && ev.period > 0.0,
-                   "link_flap needs count >= 1 and period > 0");
-      (void)resolve_edge(ev);
-      break;
-    case FaultKind::kSlotExhaust:
-      HERO_REQUIRE(ev.magnitude >= 1.0, "slot_exhaust: {} slots",
-                   ev.magnitude);
-      (void)resolve_node(ev);
-      break;
-    case FaultKind::kSwitchRestart:
-      (void)resolve_node(ev);
-      break;
-    case FaultKind::kGpuSlow:
-      HERO_REQUIRE(ev.magnitude >= 1.0,
-                   "gpu_slow multiplier {} < 1 (speedup?)", ev.magnitude);
-      (void)resolve_node(ev);
-      break;
-    case FaultKind::kSyncDelay:
-      HERO_REQUIRE(ev.magnitude >= 0.0, "sync_delay of {}s", ev.magnitude);
-      break;
-    case FaultKind::kSyncDrop:
-      break;
-  }
-}
-
 void FaultInjector::arm() {
   HERO_REQUIRE(!armed_, "FaultInjector::arm called twice");
   armed_ = true;
-  for (const FaultEvent& ev : plan_.events) {
-    validate(ev);
-    schedule(ev);
-  }
+  for (const FaultEvent& ev : plan_.events) validate(ev);
+  check_targets(plan_, network_->graph());
+  for (const FaultEvent& ev : plan_.events) schedule(ev);
 }
 
 void FaultInjector::schedule(const FaultEvent& ev) {
   sim::Simulator& s = simulator();
+  const topo::Graph& g = network_->graph();
   switch (ev.kind) {
     case FaultKind::kLinkDegrade: {
-      const topo::EdgeId edge = resolve_edge(ev);
+      const topo::EdgeId edge = target_edge(g, ev);
       s.schedule_in(ev.at, [this, ev, edge] { inject_link(ev, edge); });
       if (ev.duration > 0.0) {
         s.schedule_in(ev.at + ev.duration,
@@ -108,11 +37,8 @@ void FaultInjector::schedule(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kLinkFlap: {
-      const topo::EdgeId edge = resolve_edge(ev);
+      const topo::EdgeId edge = target_edge(g, ev);
       const Time down = ev.duration > 0.0 ? ev.duration : ev.period / 2.0;
-      HERO_REQUIRE(down <= ev.period,
-                   "link_flap: down time {} exceeds period {}", down,
-                   ev.period);
       for (std::uint32_t k = 0; k < ev.count; ++k) {
         const Time start = ev.at + static_cast<double>(k) * ev.period;
         s.schedule_in(start, [this, ev, edge] { inject_link(ev, edge); });
@@ -122,17 +48,17 @@ void FaultInjector::schedule(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kSlotExhaust: {
-      const topo::NodeId node = resolve_node(ev);
+      const topo::NodeId node = target_node(g, ev);
       s.schedule_in(ev.at, [this, ev, node] { inject_slots(ev, node); });
       break;
     }
     case FaultKind::kSwitchRestart: {
-      const topo::NodeId node = resolve_node(ev);
+      const topo::NodeId node = target_node(g, ev);
       s.schedule_in(ev.at, [this, ev, node] { inject_restart(ev, node); });
       break;
     }
     case FaultKind::kGpuSlow: {
-      const topo::NodeId node = resolve_node(ev);
+      const topo::NodeId node = target_node(g, ev);
       s.schedule_in(ev.at, [this, ev, node] { inject_gpu(ev, node); });
       if (ev.duration > 0.0) {
         s.schedule_in(ev.at + ev.duration,
@@ -271,8 +197,6 @@ void FaultInjector::inject_restart(const FaultEvent& ev, topo::NodeId node) {
 }
 
 void FaultInjector::inject_gpu(const FaultEvent& ev, topo::NodeId node) {
-  HERO_REQUIRE(network_->graph().node(node).kind == topo::NodeKind::kGpu,
-               "gpu_slow target {} is not a GPU", ev.target);
   gpu_scales_[node].push_back(ev.magnitude);
   emit(ev, "inject", ev.magnitude);
 }

@@ -49,8 +49,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Validate the plan against the topology and schedule every event on the
-  /// simulator (call once, before running the workload).
+  /// Validate the plan (validate(), check_targets() against the network's
+  /// topology; both throw std::invalid_argument) and schedule every event
+  /// on the simulator (call once, before running the workload).
   void arm();
 
   /// Current compute-time multiplier for a GPU (>= 1; strongest active
@@ -77,9 +78,6 @@ class FaultInjector {
   [[nodiscard]] sim::Simulator& simulator() const {
     return network_->simulator();
   }
-  [[nodiscard]] topo::NodeId resolve_node(const FaultEvent& ev) const;
-  [[nodiscard]] topo::EdgeId resolve_edge(const FaultEvent& ev) const;
-  void validate(const FaultEvent& ev) const;
   void schedule(const FaultEvent& ev);
 
   void inject_link(const FaultEvent& ev, topo::EdgeId edge);

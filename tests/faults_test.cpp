@@ -72,6 +72,105 @@ TEST(FaultPlanParse, RejectsMalformedPlans) {
                std::runtime_error);
 }
 
+TEST(FaultPlanParse, RejectsOutOfRangeEvents) {
+  // One shape per rule validate() enforces; each must throw, never run.
+  const char* bad[] = {
+      R"({"kind": "sync_drop", "at": -1})",
+      R"({"kind": "sync_drop", "at": 1e999})",
+      R"({"kind": "sync_drop", "duration": -0.5})",
+      R"({"kind": "link_degrade", "target": "w0g1-sw1", "magnitude": 0})",
+      R"({"kind": "link_degrade", "target": "w0g1-sw1", "magnitude": 1.5})",
+      R"({"kind": "link_flap", "target": "w0g1-sw1", "magnitude": 0.5,
+          "period": 1, "count": -1})",
+      R"({"kind": "link_flap", "target": "w0g1-sw1", "magnitude": 0.5,
+          "period": 1, "count": 0})",
+      R"({"kind": "link_flap", "target": "w0g1-sw1", "magnitude": 0.5,
+          "period": 1, "count": 2.5})",
+      R"({"kind": "link_flap", "target": "w0g1-sw1", "magnitude": 0.5,
+          "period": 1, "count": 1000001})",
+      R"({"kind": "link_flap", "target": "w0g1-sw1", "magnitude": 0.5,
+          "period": 0, "count": 2})",
+      R"({"kind": "link_flap", "target": "w0g1-sw1", "magnitude": 0.5,
+          "period": 1, "duration": 2, "count": 2})",
+      R"({"kind": "slot_exhaust", "target": "sw0", "magnitude": -5})",
+      R"({"kind": "slot_exhaust", "target": "sw0", "magnitude": 2.5})",
+      R"({"kind": "gpu_slow", "target": "w0g0", "magnitude": 0.5})",
+      R"({"kind": "sync_delay", "magnitude": -0.1})",
+      R"({"kind": "gpu_slow", "magnitude": 2})",
+      R"({"kind": "link_degrade", "magnitude": 0.5})",
+  };
+  for (const char* ev : bad) {
+    EXPECT_ANY_THROW(
+        (void)parse_fault_plan(std::string(R"({"events": [)") + ev + "]}"))
+        << ev;
+  }
+  // The count is range-checked before its integer conversion.
+  EXPECT_THROW((void)parse_fault_plan(R"({"events": [{"kind": "link_flap",
+      "target": "w0g1-sw1", "magnitude": 0.5, "period": 1,
+      "count": -1}]})"),
+               std::runtime_error);
+  // Ranges reject as invalid_argument naming the kind and target.
+  try {
+    (void)parse_fault_plan(R"({"events": [{"kind": "gpu_slow",
+        "target": "w0g0", "magnitude": 0.5}]})");
+    ADD_FAILURE() << "gpu_slow 0.5 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gpu_slow on \"w0g0\""),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FaultPlanParse, AcceptsTheShippedPlans) {
+  for (const char* name : {"link_flap.json", "switch_chaos.json"}) {
+    EXPECT_FALSE(
+        load_fault_plan(std::string(FAULT_PLAN_DIR) + "/" + name,
+                        topo::make_testbed())
+            .empty())
+        << name;
+  }
+}
+
+TEST(FaultPlanTargets, UnknownOrMiskindedTargetsThrow) {
+  const topo::Graph testbed = topo::make_testbed();
+  const auto check = [&](const char* ev) {
+    check_targets(
+        parse_fault_plan(std::string(R"({"events": [)") + ev + "]}"),
+        testbed);
+  };
+  EXPECT_NO_THROW(
+      check(R"({"kind": "link_degrade", "target": "w0g1-sw1",
+                "magnitude": 0.5})"));
+  EXPECT_NO_THROW(check(R"({"kind": "switch_restart", "target": "sw0"})"));
+  EXPECT_NO_THROW(
+      check(R"({"kind": "gpu_slow", "target": "w0g0", "magnitude": 2})"));
+  EXPECT_THROW(
+      check(R"({"kind": "gpu_slow", "target": "nope", "magnitude": 2})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      check(R"({"kind": "link_degrade", "target": "w0g1-nope",
+                "magnitude": 0.5})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      check(R"({"kind": "link_degrade", "target": "w0g1",
+                "magnitude": 0.5})"),
+      std::invalid_argument);
+  // Nodes of the wrong kind: a switch slowed like a GPU, a GPU restarted
+  // like a switch.
+  EXPECT_THROW(
+      check(R"({"kind": "gpu_slow", "target": "sw0", "magnitude": 2})"),
+      std::invalid_argument);
+  EXPECT_THROW(check(R"({"kind": "switch_restart", "target": "w0g0"})"),
+               std::invalid_argument);
+  // A testbed name is unknown on the fleet cluster quickstart
+  // --instances N serves on.
+  EXPECT_THROW(
+      check_targets(parse_fault_plan(R"({"events": [{"kind": "gpu_slow",
+                        "target": "w0g0", "magnitude": 2}]})"),
+                    topo::make_fleet_cluster({})),
+      std::invalid_argument);
+}
+
 // --- injector failure domains ---
 
 struct InjectorFixture {

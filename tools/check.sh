@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run the repo's correctness gates:
 #   1. hero-lint over src/, tools/, bench/, examples/ (per-file rules
-#      plus whole-program call-graph/layer/cycle analysis)
+#      plus the include-graph layer/cycle/stale-suppression rules)
 #   2. the tier-1 test suite under AddressSanitizer + UBSanitizer
 #
 #   tools/check.sh [extra ctest args...]

@@ -1,13 +1,12 @@
 // hero_lint CLI: walk the given files/directories, index every C++
-// source into a ProjectIndex, run the per-file AND whole-program rules
-// (call-graph reachability, layer DAG, include cycles, stale
-// suppressions), print findings as `file:line: [rule] message`, and exit
-// non-zero when anything unsuppressed fires. See lint_core.hpp for the
-// rule catalogue and callgraph.hpp for the graph rules.
+// source into a ProjectIndex, run the per-file AND project rules (layer
+// DAG, include cycles, stale suppressions), print findings as
+// `file:line: [rule] message`, and exit non-zero when anything
+// unsuppressed fires. See lint_core.hpp for the rule catalogue and the
+// src/ suppression rule, and analyze.hpp for the project rules.
 //
 // Usage: hero_lint [--json out.json] [--sarif out.sarif] [--stats]
-//                  [--list-rules] [--layers FILE] [--graph-dot BASE]
-//                  [paths...]
+//                  [--list-rules] [--layers FILE] [paths...]
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -17,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "callgraph.hpp"
+#include "analyze.hpp"
 #include "index.hpp"
 #include "lint_core.hpp"
 
@@ -81,7 +80,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::string json_path;
   std::string sarif_path;
-  std::string dot_base;
   std::string layers_path = "tools/lint/layers.txt";
   bool layers_explicit = false;
   bool stats = false;
@@ -94,8 +92,7 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    if (arg == "--json" || arg == "--sarif" || arg == "--graph-dot" ||
-        arg == "--layers") {
+    if (arg == "--json" || arg == "--sarif" || arg == "--layers") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "hero_lint: %s needs a path\n", arg.c_str());
         return 2;
@@ -105,8 +102,6 @@ int main(int argc, char** argv) {
         json_path = value;
       } else if (arg == "--sarif") {
         sarif_path = value;
-      } else if (arg == "--graph-dot") {
-        dot_base = value;
       } else {
         layers_path = value;
         layers_explicit = true;
@@ -120,16 +115,13 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: hero_lint [--json out.json] [--sarif out.sarif] "
-          "[--stats] [--list-rules] [--layers FILE] [--graph-dot BASE] "
-          "[paths...]\n"
-          "  --layers FILE     layer DAG spec (default "
-          "tools/lint/layers.txt;\n"
-          "                    a missing default just disables the "
-          "layer-violation rule)\n"
-          "  --graph-dot BASE  write BASE.calls.dot (dispatch-reachable "
-          "call graph)\n"
-          "                    and BASE.includes.dot (quoted-include "
-          "graph)\n");
+          "[--stats] [--list-rules] [--layers FILE] [paths...]\n"
+          "  --layers FILE  layer DAG spec (default tools/lint/layers.txt;\n"
+          "                 a missing default skips the DAG check; includes "
+          "that\n"
+          "                 leave src/ are still reported)\n"
+          "Under src/, allow() cannot suppress wall-clock, ambient-rng or "
+          "unordered-iter.\n");
       return 0;
     }
     roots.push_back(arg);
@@ -145,7 +137,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::fprintf(stderr,
-                 "hero_lint: note: no '%s'; layer-violation rule skipped\n",
+                 "hero_lint: note: no '%s'; layer DAG check skipped\n",
                  layers_path.c_str());
   }
 
@@ -180,14 +172,6 @@ int main(int argc, char** argv) {
   if (!sarif_path.empty() &&
       !write_report(sarif_path, herolint::to_sarif(report.findings))) {
     return 2;
-  }
-  if (!dot_base.empty()) {
-    if (!write_report(dot_base + ".calls.dot",
-                      herolint::callgraph_dot(index)) ||
-        !write_report(dot_base + ".includes.dot",
-                      herolint::include_dot(index))) {
-      return 2;
-    }
   }
   if (stats) {
     std::printf("%-25s %7s %8s\n", "rule", "fired", "allowed");

@@ -1,39 +1,10 @@
 #include "index.hpp"
 
-#include <algorithm>
+#include <filesystem>
 #include <regex>
-#include <set>
 
 namespace herolint {
 namespace {
-
-/// Keywords that look like `name(...)` but are never project calls or
-/// function declarators.
-bool call_keyword(const std::string& t) {
-  static const std::set<std::string> kKeywords = {
-      "if",       "for",      "while",   "switch",        "catch",
-      "return",   "sizeof",   "alignof", "decltype",      "noexcept",
-      "new",      "delete",   "throw",   "static_assert", "assert",
-      "defined",  "alignas",  "co_await", "co_return",    "co_yield",
-      "requires", "explicit", "operator"};
-  return kKeywords.contains(t);
-}
-
-/// Per-line flag: preprocessor directive (or its backslash continuation).
-/// Macro bodies must not register as function definitions or call sites.
-std::vector<bool> preproc_lines(const MaskedSource& src) {
-  std::vector<bool> flags(src.code.size(), false);
-  bool continued = false;
-  for (std::size_t i = 0; i < src.code.size(); ++i) {
-    const std::string& line = src.code[i];
-    const std::size_t first = line.find_first_not_of(" \t");
-    const bool directive = first != std::string::npos && line[first] == '#';
-    flags[i] = directive || continued;
-    const std::size_t last = line.find_last_not_of(" \t");
-    continued = flags[i] && last != std::string::npos && line[last] == '\\';
-  }
-  return flags;
-}
 
 /// `#include "..."` targets with their lines, from the raw content (the
 /// masked view blanks string bodies, so this scans the original text).
@@ -56,79 +27,6 @@ std::vector<IncludeDecl> extract_includes(const std::string& content) {
   return out;
 }
 
-struct Scope {
-  enum class Kind { kNamespace, kType, kFunction, kBlock };
-  Kind kind = Kind::kBlock;
-  std::string name;  // type name for kType
-  int fn = -1;       // FunctionDef id for kFunction
-};
-
-/// The declarator search: first top-level `ident(` in the statement
-/// buffer that is not a keyword. Returns the buffer index of the name
-/// token, or npos.
-std::size_t find_declarator(const std::vector<Token>& stmt) {
-  int paren = 0;
-  bool top_level_assign = false;
-  for (std::size_t i = 0; i < stmt.size(); ++i) {
-    const std::string& t = stmt[i].text;
-    if (t == "(") {
-      if (paren == 0 && i > 0) {
-        const Token& prev = stmt[i - 1];
-        if (prev.kind == Token::Kind::kIdent && !call_keyword(prev.text) &&
-            !top_level_assign) {
-          return i - 1;
-        }
-      }
-      ++paren;
-    } else if (t == ")") {
-      --paren;
-    } else if (t == "=" && paren == 0) {
-      // `auto v = expr {...}` and friends are initializers, not function
-      // definitions — unless the `=` spells `operator=`.
-      if (i == 0 || stmt[i - 1].text != "operator") top_level_assign = true;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Last class/struct/union/enum keyword at paren depth 0 wins, so
-/// `template <class T> struct X {` names X, not T.
-std::size_t find_type_keyword(const std::vector<Token>& stmt) {
-  int paren = 0;
-  std::size_t found = std::string::npos;
-  for (std::size_t i = 0; i < stmt.size(); ++i) {
-    const std::string& t = stmt[i].text;
-    if (t == "(") ++paren;
-    if (t == ")") --paren;
-    if (paren != 0 || stmt[i].kind != Token::Kind::kIdent) continue;
-    if (t == "class" || t == "struct" || t == "union" || t == "enum") {
-      found = i;
-    }
-  }
-  return found;
-}
-
-/// Record `ident(` call sites from `toks[begin, end)` into `fn`.
-void collect_calls(const std::vector<Token>& toks, std::size_t begin,
-                   std::size_t end, FunctionDef& fn) {
-  for (std::size_t i = begin; i + 1 < end; ++i) {
-    if (toks[i].kind != Token::Kind::kIdent || call_keyword(toks[i].text) ||
-        toks[i + 1].text != "(") {
-      continue;
-    }
-    CallSite call;
-    call.name = toks[i].text;
-    call.line = toks[i].line;
-    if (i >= 1 && (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
-      call.member = true;
-    } else if (i >= 2 && toks[i - 1].text == "::" &&
-               toks[i - 2].kind == Token::Kind::kIdent) {
-      call.qualifier = toks[i - 2].text;
-    }
-    fn.calls.push_back(std::move(call));
-  }
-}
-
 }  // namespace
 
 std::string subsystem_of(const std::string& path) {
@@ -145,11 +43,16 @@ std::string subsystem_of(const std::string& path) {
   return path.substr(pos, slash - pos);
 }
 
+std::string relative_to(const std::string& from, const std::string& target) {
+  return (std::filesystem::path(from).parent_path() / target)
+      .lexically_normal()
+      .generic_string();
+}
+
 void ProjectIndex::add_file(const std::string& path,
                             const std::string& content) {
   if (path_to_file_.contains(path)) return;
-  const int file_id = static_cast<int>(files_.size());
-  path_to_file_[path] = file_id;
+  path_to_file_[path] = static_cast<int>(files_.size());
 
   FileRecord rec;
   rec.path = path;
@@ -159,149 +62,15 @@ void ProjectIndex::add_file(const std::string& path,
   rec.sup = Suppressions::collect(rec.src);
   rec.includes = extract_includes(content);
   rec.subsystem = subsystem_of(path);
-
-  // Function/method extraction over the non-preprocessor token stream.
-  const std::vector<bool> preproc = preproc_lines(rec.src);
-  std::vector<Token> toks;
-  for (const Token& t : rec.tokens) {
-    if (!preproc[static_cast<std::size_t>(t.line) - 1]) toks.push_back(t);
-  }
-
-  std::vector<Scope> scopes;
-  std::vector<Token> stmt;  // statement buffer at non-function scope
-  int current_fn = -1;      // innermost open FunctionDef, or -1
-
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& tok = toks[i];
-    if (current_fn >= 0) {
-      // Inside a function body: braces only nest blocks; calls are
-      // collected as they stream past.
-      if (tok.text == "{") {
-        scopes.push_back({Scope::Kind::kBlock, "", -1});
-      } else if (tok.text == "}") {
-        if (!scopes.empty() && scopes.back().kind == Scope::Kind::kBlock) {
-          scopes.pop_back();
-        } else if (!scopes.empty() &&
-                   scopes.back().kind == Scope::Kind::kFunction) {
-          functions_[current_fn].end_line = tok.line;
-          scopes.pop_back();
-          current_fn = -1;
-          for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
-            if (it->kind == Scope::Kind::kFunction) {
-              current_fn = it->fn;
-              break;
-            }
-          }
-        }
-      } else if (tok.kind == Token::Kind::kIdent && i + 1 < toks.size() &&
-                 toks[i + 1].text == "(" && !call_keyword(tok.text)) {
-        collect_calls(toks, i, i + 2, functions_[current_fn]);
-      }
-      continue;
-    }
-
-    // Namespace/class/global scope: classify each `{` from the statement
-    // leading up to it.
-    if (tok.text == ";") {
-      stmt.clear();
-    } else if (tok.text == "}") {
-      if (!scopes.empty()) scopes.pop_back();
-      stmt.clear();
-    } else if (tok.text == "{") {
-      Scope scope;
-      const bool is_namespace =
-          std::any_of(stmt.begin(), stmt.end(), [](const Token& t) {
-            return t.kind == Token::Kind::kIdent && t.text == "namespace";
-          });
-      const std::size_t type_kw = find_type_keyword(stmt);
-      const std::size_t decl = is_namespace || type_kw != std::string::npos
-                                   ? std::string::npos
-                                   : find_declarator(stmt);
-      if (is_namespace) {
-        scope.kind = Scope::Kind::kNamespace;
-      } else if (type_kw != std::string::npos) {
-        scope.kind = Scope::Kind::kType;
-        // First plain identifier after the keyword names the type
-        // (`enum class Scheme` skips the second keyword).
-        for (std::size_t j = type_kw + 1; j < stmt.size(); ++j) {
-          if (stmt[j].kind == Token::Kind::kIdent && stmt[j].text != "class" &&
-              stmt[j].text != "struct" && stmt[j].text != "final") {
-            scope.name = stmt[j].text;
-            break;
-          }
-        }
-      } else if (decl != std::string::npos) {
-        scope.kind = Scope::Kind::kFunction;
-        FunctionDef fn;
-        fn.name = stmt[decl].text;
-        fn.file = file_id;
-        fn.line = stmt[decl].line;
-        fn.end_line = tok.line;
-        if (decl >= 2 && stmt[decl - 1].text == "::" &&
-            stmt[decl - 2].kind == Token::Kind::kIdent) {
-          fn.class_name = stmt[decl - 2].text;
-        } else {
-          for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
-            if (it->kind == Scope::Kind::kType) {
-              fn.class_name = it->name;
-              break;
-            }
-          }
-        }
-        // Constructor init lists call functions too:
-        // `Foo() : x_(compute()) {` — scan past the parameter list.
-        collect_calls(stmt, decl + 1, stmt.size(), fn);
-        scope.fn = static_cast<int>(functions_.size());
-        current_fn = scope.fn;
-        by_name_[fn.name].push_back(scope.fn);
-        functions_.push_back(std::move(fn));
-      } else {
-        scope.kind = Scope::Kind::kBlock;  // initializer / extern "C" / ...
-      }
-      scopes.push_back(std::move(scope));
-      stmt.clear();
-    } else {
-      stmt.push_back(tok);
-    }
-  }
-  // Unterminated function at EOF (truncated fixture): close it out.
-  if (current_fn >= 0 && functions_[current_fn].end_line == 0) {
-    functions_[current_fn].end_line =
-        static_cast<int>(rec.src.code.size());
-  }
-
   files_.push_back(std::move(rec));
-}
-
-std::vector<int> ProjectIndex::functions_named(
-    const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return {};
-  return it->second;
-}
-
-int ProjectIndex::enclosing_function(int file, int line) const {
-  int best = -1;
-  for (std::size_t i = 0; i < functions_.size(); ++i) {
-    const FunctionDef& fn = functions_[i];
-    if (fn.file != file || line < fn.line || line > fn.end_line) continue;
-    if (best < 0 || fn.line > functions_[best].line) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
 }
 
 int ProjectIndex::resolve_include(int from_file,
                                   const std::string& target) const {
   auto exact = path_to_file_.find(target);
   if (exact != path_to_file_.end()) return exact->second;
-  const std::string& from = files_[from_file].path;
-  const std::size_t slash = from.rfind('/');
-  if (slash != std::string::npos) {
-    auto sib = path_to_file_.find(from.substr(0, slash + 1) + target);
-    if (sib != path_to_file_.end()) return sib->second;
-  }
+  auto rel = path_to_file_.find(relative_to(files_[from_file].path, target));
+  if (rel != path_to_file_.end()) return rel->second;
   // Unique-suffix match covers include dirs (-Isrc): "common/units.hpp"
   // resolves against "src/common/units.hpp" wherever the scan rooted.
   const std::string suffix = "/" + target;

@@ -1,20 +1,9 @@
 // hero-lint project index: one pass over every file in the analyzed
-// trees, extracting the whole-program facts the v3 graph rules reason
-// over:
+// trees, keeping what the project rules (analyze.hpp) reason over:
 //
-//   * function/method definitions (name, enclosing class, line span)
-//   * call sites inside each function body (callee name + qualifier)
+//   * each file's masked source, tokens and suppression inventory
 //   * `#include "..."` edges between project files
 //   * the src/ subsystem each file belongs to (for the layer DAG)
-//
-// The extractor is the same no-libclang token heuristic the per-file
-// rules use, tuned for this repo's style: a `{` at namespace/class scope
-// whose statement contains a top-level `ident(...)` declarator opens a
-// function body; everything until the matching `}` belongs to it,
-// including lambda bodies (their calls attribute to the enclosing
-// function — exactly right for reachability, since the lambda runs when
-// the enclosing dispatch path schedules it). Preprocessor lines are
-// skipped, so macro definitions never masquerade as functions.
 #pragma once
 
 #include <map>
@@ -33,34 +22,6 @@ struct IncludeDecl {
   int line = 0;  // 1-based
 };
 
-/// A call site inside a function body. `qualifier` is the identifier
-/// glued to the callee by `::` ("Simulator" in `Simulator::now()`, "std"
-/// in `std::max(...)`, empty otherwise); `member` marks `.name(` /
-/// `->name(` receiver calls.
-struct CallSite {
-  std::string name;
-  std::string qualifier;
-  int line = 0;
-  bool member = false;
-};
-
-/// A function or method definition. Line span [line, end_line] covers the
-/// declarator through the closing brace, so any finding line inside the
-/// body maps back to its function.
-struct FunctionDef {
-  std::string name;        ///< bare name ("step")
-  std::string class_name;  ///< enclosing class or "" for free functions
-  int file = -1;           ///< index into ProjectIndex::files
-  int line = 0;            ///< declarator's opening-brace line (1-based)
-  int end_line = 0;        ///< closing-brace line
-  std::vector<CallSite> calls;
-
-  /// "ClusterSim::step" or "step".
-  [[nodiscard]] std::string display() const {
-    return class_name.empty() ? name : class_name + "::" + name;
-  }
-};
-
 /// Everything the analyzer knows about one file. Suppressions are owned
 /// here (mutable usage state) because per-file and project rules consume
 /// from the same inventory.
@@ -75,8 +36,7 @@ struct FileRecord {
 };
 
 /// Whole-program fact base: add every file, then hand the index to
-/// CallGraph/analyze_project (index.cpp fills functions at add time; no
-/// finalize step).
+/// analyze_project.
 class ProjectIndex {
  public:
   /// Parse and index one file. `path` is the reporting/classification
@@ -87,32 +47,25 @@ class ProjectIndex {
     return files_;
   }
   [[nodiscard]] std::vector<FileRecord>& files() { return files_; }
-  [[nodiscard]] const std::vector<FunctionDef>& functions() const {
-    return functions_;
-  }
-
-  /// Function ids whose bare name is `name`, in definition order.
-  [[nodiscard]] std::vector<int> functions_named(
-      const std::string& name) const;
-
-  /// Innermost function containing (file, line), or -1.
-  [[nodiscard]] int enclosing_function(int file, int line) const;
 
   /// Resolve an include target against the indexed files: exact path,
-  /// same-directory sibling, or unique path-suffix match. Returns the
-  /// file id or -1.
+  /// path relative to the including file's directory (`..` collapsed),
+  /// or unique path-suffix match. Returns the file id or -1.
   [[nodiscard]] int resolve_include(int from_file,
                                     const std::string& target) const;
 
  private:
   std::vector<FileRecord> files_;
-  std::vector<FunctionDef> functions_;
-  std::map<std::string, std::vector<int>> by_name_;
   std::map<std::string, int> path_to_file_;
 };
 
 /// "src/netsim/flownet.cpp" -> "netsim"; "" when not under src/ or with
 /// no subsystem directory.
 [[nodiscard]] std::string subsystem_of(const std::string& path);
+
+/// `target` read relative to the directory of `from`, with `.` and `..`
+/// collapsed: ("src/serving/x.cpp", "../../bench/u.hpp") -> "bench/u.hpp".
+[[nodiscard]] std::string relative_to(const std::string& from,
+                                      const std::string& target);
 
 }  // namespace herolint

@@ -18,7 +18,7 @@ struct RuleDoc {
 const RuleDoc kRuleDocs[] = {
     {"ambient-rng",
      "ambient randomness outside common/rng; derive from a seeded "
-     "hero::Rng"},
+     "hero::Rng (no allow() under src/)"},
     {"float-equal",
      "exact ==/!= against a floating-point literal; use an epsilon or "
      "integer state"},
@@ -28,30 +28,22 @@ const RuleDoc kRuleDocs[] = {
     {"iostream",
      "<iostream> in library code; log via common/log"},
     {"layer-violation",
-     "include edge between src/ subsystems that the declared layer DAG "
-     "(tools/lint/layers.txt) does not allow"},
+     "include from src/ that leaves src/, or an edge between src/ "
+     "subsystems that the declared layer DAG (tools/lint/layers.txt) does "
+     "not allow"},
     {"raw-unit-literal",
      "unit-typed variable set from a conversion-factor-shaped literal "
      "without a units:: factor"},
     {"stale-suppression",
      "hero-lint: allow() comment that no longer suppresses any finding"},
-    {"transitive-rng",
-     "ambient randomness reachable from simulator dispatch through the "
-     "whole-program call graph"},
-    {"transitive-unordered-iter",
-     "hash-ordered iteration reachable from simulator dispatch through "
-     "the whole-program call graph"},
-    {"transitive-wall-clock",
-     "wall-clock source reachable from simulator dispatch through the "
-     "whole-program call graph"},
     {"uninit-member",
      "scalar/pointer struct member without an initializer"},
     {"unordered-iter",
      "iteration over an unordered container; order depends on the stdlib "
-     "hash"},
+     "hash (no allow() under src/)"},
     {"wall-clock",
      "ambient time source; simulated time comes from "
-     "sim::Simulator::now()"},
+     "sim::Simulator::now() (no allow() under src/)"},
 };
 
 const std::vector<std::string> kRuleIds = [] {
@@ -405,6 +397,17 @@ std::vector<Finding> raw_file_findings(const std::string& path,
   return raw;
 }
 
+void report_finding(Finding f, const FileContext& ctx, Suppressions& sup,
+                    LintReport& out) {
+  const bool determinism = f.rule == "wall-clock" ||
+                           f.rule == "ambient-rng" ||
+                           f.rule == "unordered-iter";
+  const bool suppressible = !(ctx.library && determinism);
+  (suppressible && sup.consume(f.rule, f.line) ? out.suppressed
+                                               : out.findings)
+      .push_back(std::move(f));
+}
+
 LintReport lint_source_report(const std::string& path,
                               const std::string& content,
                               const FileContext& ctx) {
@@ -414,8 +417,7 @@ LintReport lint_source_report(const std::string& path,
 
   LintReport report;
   for (Finding& f : raw_file_findings(path, src, toks, ctx)) {
-    (sup.consume(f.rule, f.line) ? report.suppressed : report.findings)
-        .push_back(std::move(f));
+    report_finding(std::move(f), ctx, sup, report);
   }
   return report;
 }

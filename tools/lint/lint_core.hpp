@@ -6,12 +6,12 @@
 // only while nothing in the hot path depends on hash order, wall clocks,
 // or ambient randomness — and physically meaningful only while every
 // seconds/bytes/bandwidth value carries the dimension its variable
-// claims. hero-lint is a plain-text/token scanner (no libclang): v1
-// rules work line-by-line on comment-masked source; the v2 rule
-// (raw-unit-literal) runs over a token stream plus a per-file symbol table
-// of unit-typed locals; v3 adds whole-program rules over a
-// ProjectIndex/CallGraph (index.hpp, callgraph.hpp) and the declared layer
-// DAG (tools/lint/layers.txt). Each rule's one-line doc lives in the rule
+// claims. hero-lint is a plain-text/token scanner (no libclang): most
+// rules work line-by-line on comment-masked source; raw-unit-literal
+// runs over a token stream plus a per-file symbol table of unit-typed
+// locals; the project rules (analyze.hpp) reason over the quoted-include
+// graph of a ProjectIndex (index.hpp) and the declared layer DAG
+// (tools/lint/layers.txt). Each rule's one-line doc lives in the rule
 // catalogue in lint_core.cpp (`hero_lint --list-rules`, the SARIF rules
 // table); DESIGN.md -> "hero-lint" explains each rule and names the gates
 // that replaced the rules deleted because another check already fails on
@@ -19,7 +19,10 @@
 //
 // Suppressions: `// hero-lint: allow(rule-a, rule-b)` on the finding's
 // line or the line directly above; `// hero-lint: allow-file(rule)`
-// anywhere in the file suppresses the rule file-wide. Suppressed
+// anywhere in the file suppresses the rule file-wide. Under src/ no
+// suppression covers wall-clock, ambient-rng or unordered-iter:
+// simulator dispatch reaches only src/ code, so a determinism sink there
+// is always a finding (and its allow() is reported as stale). Suppressed
 // findings are retained in LintReport::suppressed so the CLI's --stats
 // can account for every allow().
 #pragma once
@@ -61,13 +64,19 @@ struct LintReport {
                                             const FileContext& ctx);
 
 /// The per-file rule pipeline with no suppression filtering: every raw
-/// finding, sorted by (line, rule). The whole-program analyzer
-/// (callgraph.hpp) builds on this — it partitions findings against the
-/// file's suppression inventory itself and reuses the raw wall-clock /
-/// ambient-rng / unordered-iter findings as call-graph sink markers.
+/// finding, sorted by (line, rule). The project analyzer (analyze.hpp)
+/// builds on this and partitions findings against each file's
+/// suppression inventory itself.
 [[nodiscard]] std::vector<Finding> raw_file_findings(
     const std::string& path, const MaskedSource& src,
     const std::vector<Token>& toks, const FileContext& ctx);
+
+/// Append `f` to out.suppressed when an allow() in `sup` covers it (and
+/// mark that allow used), else to out.findings. Under src/
+/// (`ctx.library`) wall-clock, ambient-rng and unordered-iter are never
+/// suppressed.
+void report_finding(Finding f, const FileContext& ctx, Suppressions& sup,
+                    LintReport& out);
 
 /// Stable (sorted) list of every rule id.
 [[nodiscard]] const std::vector<std::string>& rule_ids();

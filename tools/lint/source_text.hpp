@@ -1,5 +1,5 @@
 // hero-lint source-text layer: the representation every rule pass —
-// per-file (lint_core) and whole-program (index/callgraph) — shares.
+// per-file (lint_core) and project (index/analyze) — shares.
 //
 // A file is modeled three ways, all length-preserving so any match index
 // is a valid (line, column) in the original file:
@@ -11,7 +11,7 @@
 //
 // Suppressions (`// hero-lint: allow(rule)` / `allow-file(rule)`) live here
 // too because both rule tiers consult the same inventory: per-file rules
-// consume them first, project rules (transitive-*, layer-violation, ...)
+// consume them first, project rules (layer-violation, include-cycle)
 // consume them second, and whatever is left unconsumed is what the
 // stale-suppression rule reports.
 #pragma once
