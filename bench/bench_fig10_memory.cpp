@@ -19,7 +19,7 @@ struct Cell {
   double kv_peak = 0;
   double tpot_p90 = 0;
   std::size_t completed = 0;
-  std::vector<serve::KvSample> timeline;
+  std::vector<obs::GaugePoint> timeline;
 };
 
 topo::Graph make_two_tracks() {
@@ -120,9 +120,9 @@ int main(int argc, char** argv) {
   auto at_time = [&](SystemKind kind, double t) {
     const auto& tl = g_cells[to_string(kind)].timeline;
     double v = 0;
-    for (const serve::KvSample& s : tl) {
+    for (const obs::GaugePoint& s : tl) {
       if (s.time > t) break;
-      v = s.utilization;
+      v = s.value;
     }
     return v;
   };

@@ -11,10 +11,10 @@
 //   * blind    — the tier disabled (prefix_block_tokens = 0): every turn
 //     recomputes its full context, exactly the pre-tier serving path;
 //   * affinity — the tier on: retired turns publish their KV blocks to the
-//     per-instance cache, the fleet directory mirrors coverage, and the
-//     hero router settles each follow-up as kHit (route to the holder),
-//     kStream (move blocks over the fabric when estimate_path says the
-//     stream beats the target's recompute rate), or kRecompute.
+//     per-instance cache, dispatch reads every cache for the best holder,
+//     and the hero router settles each follow-up as kHit (route to the
+//     holder), kStream (move blocks over the fabric when estimate_path
+//     says the stream beats the target's recompute rate), or kRecompute.
 // The only difference between the columns is the tier.
 //
 // Reports p99 TTFT, total prefill tokens actually computed, hit/stream/

@@ -98,7 +98,7 @@ int run_fleet(const hero::cli::Options& opts, hero::ExperimentConfig cfg,
   if (!opts.trace_path.empty()) {
     if (tracer.write_chrome_trace_file(opts.trace_path.c_str())) {
       std::printf("wrote %zu trace events -> %s\n", tracer.event_count(),
-                  opts.trace_path.c_str());
+                  std::filesystem::path(opts.trace_path).filename().c_str());
     }
     std::printf("%s", metrics.snapshot(0.0).to_string().c_str());
   }
@@ -201,7 +201,8 @@ int main(int argc, char** argv) {
   if (!opts.trace_path.empty()) {
     if (tracer.write_chrome_trace_file(opts.trace_path.c_str())) {
       std::printf("\nwrote %zu trace events -> %s (load in ui.perfetto.dev)\n",
-                  tracer.event_count(), opts.trace_path.c_str());
+                  tracer.event_count(),
+                  std::filesystem::path(opts.trace_path).filename().c_str());
     }
     std::printf("%s", metrics.snapshot(0.0).to_string().c_str());
   }

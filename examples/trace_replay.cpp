@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("loaded %zu requests from %s\n", trace.size(),
-                opts.positional[0].c_str());
+                std::filesystem::path(opts.positional[0]).filename().c_str());
   } else {
     wl::TraceOptions gen;
     gen.rate = 1.0;
@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
   if (!opts.trace_path.empty()) {
     if (tracer.write_chrome_trace_file(opts.trace_path.c_str())) {
       std::printf("wrote %zu trace events -> %s (load in ui.perfetto.dev)\n",
-                  tracer.event_count(), opts.trace_path.c_str());
+                  tracer.event_count(),
+                  std::filesystem::path(opts.trace_path).filename().c_str());
     }
   }
   serve_trace(testbed,

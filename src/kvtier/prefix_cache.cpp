@@ -59,7 +59,6 @@ void PrefixCache::drop_stream(std::map<std::uint64_t, Stream>::iterator it) {
 }
 
 std::size_t PrefixCache::evict_blocks(std::size_t max_blocks,
-                                      std::vector<CoverageChange>* changes,
                                       const std::uint64_t* exclude) {
   std::size_t evicted = 0;
   while (evicted < max_blocks) {
@@ -77,35 +76,30 @@ std::size_t PrefixCache::evict_blocks(std::size_t max_blocks,
     if (victim == streams_.end()) break;  // everything left is pinned
 
     // Tail-first within the victim: coverage stays contiguous from zero,
-    // so the directory mirror is still one block count.
+    // so it is still one block count.
     Stream& s = victim->second;
     const std::size_t evictable = s.blocks - s.pinned_blocks();
     const std::size_t take = std::min(evictable, max_blocks - evicted);
     s.blocks -= take;
     total_blocks_ -= take;
     evicted += take;
-    if (changes != nullptr) {
-      changes->push_back(
-          CoverageChange{victim->first, s.blocks * opts_.block_tokens});
-    }
     if (s.blocks == 0 && s.pins.empty()) streams_.erase(victim);
   }
   return evicted;
 }
 
-Bytes PrefixCache::evict(Bytes needed, std::vector<CoverageChange>* changes) {
+Bytes PrefixCache::evict(Bytes needed) {
   if (needed <= 0.0) return 0.0;
   const Bytes per_block = block_bytes();
   const auto blocks = static_cast<std::size_t>(
       std::min<double>(static_cast<double>(total_blocks_),
                        std::ceil(raw(needed) / raw(per_block))));
-  const std::size_t evicted = evict_blocks(blocks, changes);
+  const std::size_t evicted = evict_blocks(blocks);
   return per_block * static_cast<double>(evicted);
 }
 
 std::size_t PrefixCache::publish(std::uint64_t stream, std::size_t tokens,
-                                 Bytes capacity,
-                                 std::vector<CoverageChange>* changes) {
+                                 Bytes capacity) {
   if (retired_) return 0;
   const std::size_t target = tokens / opts_.block_tokens;
   auto it = streams_.find(stream);
@@ -125,7 +119,7 @@ std::size_t PrefixCache::publish(std::uint64_t stream, std::size_t tokens,
     const Bytes shortfall = need - std::max(Bytes{0.0}, free);
     const auto want = static_cast<std::size_t>(
         std::ceil(raw(shortfall) / raw(per_block)));
-    evict_blocks(want, changes, &stream);
+    evict_blocks(want, &stream);
     const Bytes now_free = capacity - bytes_used();
     const double fit = std::floor(std::max(0.0, raw(now_free)) /
                                   raw(per_block));
@@ -143,19 +137,16 @@ std::size_t PrefixCache::publish(std::uint64_t stream, std::size_t tokens,
   return s.blocks * opts_.block_tokens;
 }
 
-std::vector<CoverageChange> PrefixCache::retire() {
+void PrefixCache::retire() {
   retired_ = true;
-  std::vector<CoverageChange> dropped;
   for (auto it = streams_.begin(); it != streams_.end();) {
     if (it->second.pins.empty()) {
-      dropped.push_back(CoverageChange{it->first, 0});
       total_blocks_ -= it->second.blocks;
       it = streams_.erase(it);
     } else {
       ++it;
     }
   }
-  return dropped;
 }
 
 }  // namespace hero::kv

@@ -1,14 +1,13 @@
-// Per-instance prefix/KV block cache — the bottom level of the cluster-wide
-// hierarchical KV tier (HugeCTR-style: per-instance cache -> fleet-shared
-// PrefixDirectory -> stream-or-recompute decision at the router).
+// Per-instance prefix/KV block cache — the one store of the cluster-wide
+// KV tier. The fleet reads every instance's cache at dispatch to find the
+// best prefix holder, and the router settles stream-or-recompute on it.
 //
 // The cache holds the KV blocks of retired conversation contexts at
 // token-block granularity, keyed by *stream* (a prefix identity — the
 // serving layer uses the request's session id). Coverage of a stream is
 // always contiguous from token zero: blocks are published in order and
 // evicted tail-first, so one block count per stream describes exactly which
-// prefix is reusable and the fleet directory can mirror it as a single
-// number.
+// prefix is reusable.
 //
 // Replacement is LRU across streams with tail-first eviction inside the
 // victim stream. Blocks backing an in-flight reuse (or serving as the
@@ -23,7 +22,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -34,14 +32,6 @@ struct PrefixCacheOptions {
   std::size_t block_tokens = 128;
   /// KV bytes of one token across all layers (llm kv_bytes_per_token).
   Bytes bytes_per_token = 0.0;
-};
-
-/// One stream whose published coverage changed (eviction or publication);
-/// the owner forwards these to the fleet directory.
-struct CoverageChange {
-  std::uint64_t stream = 0;
-  /// New contiguous-from-zero coverage in tokens (0 = fully evicted).
-  std::size_t tokens = 0;
 };
 
 class PrefixCache {
@@ -82,20 +72,19 @@ class PrefixCache {
   /// Extend `stream`'s coverage toward `tokens` (rounded down to whole
   /// blocks), evicting unpinned LRU tails of other streams while total
   /// bytes would exceed `capacity`. Publishes as many blocks as fit and
-  /// returns the resulting coverage in tokens. Evictions of *other*
-  /// streams are appended to `changes` (the published stream itself is
-  /// not). No-op on a retired cache.
+  /// returns the resulting coverage in tokens. Never evicts from `stream`
+  /// itself. No-op on a retired cache.
   std::size_t publish(std::uint64_t stream, std::size_t tokens,
-                      Bytes capacity, std::vector<CoverageChange>* changes);
+                      Bytes capacity);
 
   /// Evict unpinned LRU tail blocks until at least `needed` bytes are
   /// freed or nothing evictable remains; returns the bytes freed.
-  Bytes evict(Bytes needed, std::vector<CoverageChange>* changes);
+  Bytes evict(Bytes needed);
 
   /// Drain teardown: drop every unpinned stream and refuse future
   /// publications. Pinned blocks (in-flight stream sources) survive until
-  /// their unpin, then vanish. Returns the streams dropped now.
-  std::vector<CoverageChange> retire();
+  /// their unpin, then vanish.
+  void retire();
 
  private:
   struct Stream {
@@ -118,9 +107,8 @@ class PrefixCache {
   bool retired_ = false;
 
   /// Evict up to `max_blocks` tail blocks, LRU stream first (never from
-  /// `exclude`); returns the number evicted and records the changes.
+  /// `exclude`); returns the number evicted.
   std::size_t evict_blocks(std::size_t max_blocks,
-                           std::vector<CoverageChange>* changes,
                            const std::uint64_t* exclude = nullptr);
   void drop_stream(std::map<std::uint64_t, Stream>::iterator it);
 };

@@ -145,11 +145,6 @@ std::size_t ClusterSim::effective_tokens(const ActiveRequest& ar) {
   return ar.req.input_tokens - ar.reuse_tokens;
 }
 
-void ClusterSim::set_prefix_change_hook(
-    std::function<void(std::uint64_t, std::size_t)> hook) {
-  prefix_hook_ = std::move(hook);
-}
-
 std::size_t ClusterSim::cached_prefix_tokens(std::uint64_t session) const {
   return prefix_cache_ ? prefix_cache_->cached_tokens(session) : 0;
 }
@@ -169,28 +164,14 @@ void ClusterSim::unpin_prefix(std::uint64_t session, std::size_t tokens) {
 
 void ClusterSim::adopt_prefix(std::uint64_t session, std::size_t tokens) {
   if (!prefix_cache_) return;
-  std::vector<kv::CoverageChange> changes;
-  const std::size_t covered =
-      prefix_cache_->publish(session, tokens, kv_budget_ - kv_used_,
-                             &changes);
-  notify_prefix(changes);
-  if (prefix_hook_) prefix_hook_(session, covered);
+  prefix_cache_->publish(session, tokens, kv_budget_ - kv_used_);
   record_kv(simulator().now());
 }
 
 void ClusterSim::retire_prefix_cache() {
   if (!prefix_cache_) return;
-  prefix_hook_ = nullptr;  // the fleet purges the directory wholesale
   prefix_cache_->retire();
   record_kv(simulator().now());
-}
-
-void ClusterSim::notify_prefix(
-    const std::vector<kv::CoverageChange>& changes) {
-  if (!prefix_hook_) return;
-  for (const kv::CoverageChange& c : changes) {
-    prefix_hook_(c.stream, c.tokens);
-  }
 }
 
 void ClusterSim::record_kv(Time now) {
@@ -207,10 +188,7 @@ void ClusterSim::record_kv(Time now) {
                  cached, kv_budget_);
   const double util =
       kv_budget_ > 0 ? (kv_used_ + cached) / kv_budget_ : 0.0;
-  kv_util_.observe(now, util);
-  if (kv_timeline_.empty() || kv_timeline_.back().utilization != util) {
-    kv_timeline_.push_back(KvSample{now, util});
-  }
+  kv_util_.set(now, util);
   if (obs::MetricsRegistry* m = simulator().metrics()) {
     m->gauge("serve.kv_utilization").set(now, util);
   }
@@ -244,15 +222,10 @@ void ClusterSim::retire_request(std::unique_ptr<ActiveRequest> ar,
         ar->req.input_tokens + ar->req.output_tokens;
     const std::size_t before =
         prefix_cache_->cached_tokens(ar->req.session_id);
-    std::vector<kv::CoverageChange> changes;
     const std::size_t covered = prefix_cache_->publish(
-        ar->req.session_id, context, kv_budget_ - kv_used_, &changes);
-    notify_prefix(changes);
+        ar->req.session_id, context, kv_budget_ - kv_used_);
     if (covered > before) {
       prefix_stats_.published_tokens += covered - before;
-    }
-    if (covered != before && prefix_hook_) {
-      prefix_hook_(ar->req.session_id, covered);
     }
   }
 
@@ -464,10 +437,7 @@ void ClusterSim::try_admit_decode() {
       // Reclaim unpinned cache blocks before letting a request queue on
       // memory: cached prefixes are an optimization, never a reason to
       // delay admission.
-      std::vector<kv::CoverageChange> changes;
-      prefix_cache_->evict((kv_used_ + cached + need) - kv_budget_,
-                           &changes);
-      notify_prefix(changes);
+      prefix_cache_->evict((kv_used_ + cached + need) - kv_budget_);
       cached = prefix_cache_->bytes_used();
     }
     if (kv_used_ + cached + need > kv_budget_) break;  // memory-gated
@@ -637,7 +607,7 @@ ServingReport ClusterSim::report() const {
           : 0.0;
   report.kv_utilization_avg = kv_util_.average();
   report.kv_utilization_peak = kv_util_.peak();
-  report.kv_timeline = kv_timeline_;
+  report.kv_timeline = kv_util_.timeline();
   return report;
 }
 

@@ -32,6 +32,7 @@
 #include "common/stats.hpp"
 #include "gpusim/kernel_model.hpp"
 #include "kvtier/prefix_cache.hpp"
+#include "obs/metrics.hpp"
 #include "planner/planner.hpp"
 #include "serving/kv_move.hpp"
 #include "workload/trace.hpp"
@@ -62,12 +63,6 @@ struct ServingOptions {
   /// GPU; a stage runs at the pace of its slowest member. Null = 1.0
   /// everywhere, with zero per-iteration cost.
   std::function<double(topo::NodeId)> compute_scale;
-};
-
-/// One sample of decode-cluster KV occupancy (Fig. 10's time series).
-struct KvSample {
-  Time time = 0.0;
-  double utilization = 0.0;
 };
 
 /// Point-in-time load of one serving instance — everything a router policy
@@ -136,7 +131,7 @@ struct ServingReport {
   Rate per_gpu_goodput = 0.0;  ///< the paper's scalability metric basis
   double kv_utilization_avg = 0.0;  ///< Fig. 10 metric
   double kv_utilization_peak = 0.0;
-  std::vector<KvSample> kv_timeline;  ///< occupancy at every change point
+  std::vector<obs::GaugePoint> kv_timeline;  ///< occupancy at every change
   std::size_t gpus_used = 0;
 };
 
@@ -187,10 +182,10 @@ class ClusterSim {
   }
 
   // --- prefix/KV tier (enabled by options.prefix_block_tokens > 0) ------
-  // The fleet layer mirrors each instance's cached coverage into the
-  // shared PrefixDirectory through the change hook, pins blocks while a
-  // cross-instance stream reads them, and adopts streamed-in coverage at
-  // the destination before submitting the request.
+  // The fleet layer reads each instance's cached coverage at dispatch to
+  // pick the prefix holder, pins blocks while a cross-instance stream
+  // reads them, and adopts streamed-in coverage at the destination before
+  // submitting the request.
 
   [[nodiscard]] bool prefix_enabled() const {
     return prefix_cache_ != nullptr;
@@ -198,10 +193,6 @@ class ClusterSim {
   [[nodiscard]] const PrefixStats& prefix_stats() const {
     return prefix_stats_;
   }
-  /// Called with (stream, covered tokens) on every coverage change;
-  /// 0 tokens = evicted. Not called after retire_prefix_cache().
-  void set_prefix_change_hook(
-      std::function<void(std::uint64_t, std::size_t)> hook);
   /// Block-aligned cached coverage of a session (0 when tier disabled).
   [[nodiscard]] std::size_t cached_prefix_tokens(std::uint64_t session) const;
   /// Pin/unpin a session's first `tokens` against eviction while a
@@ -211,9 +202,8 @@ class ClusterSim {
   /// Install streamed-in coverage for a session (block-floored, capacity
   /// permitting) as if it had been published locally.
   void adopt_prefix(std::uint64_t session, std::size_t tokens);
-  /// Drain teardown: drop unpinned cache contents, refuse future
-  /// publications, and silence the change hook — the fleet purges the
-  /// directory wholesale instead.
+  /// Drain teardown: drop unpinned cache contents and refuse future
+  /// publications.
   void retire_prefix_cache();
 
  private:
@@ -244,12 +234,10 @@ class ClusterSim {
   // kv_used_ + prefix-cache bytes <= kv_budget_.
   Bytes kv_budget_ = 0;
   Bytes kv_used_ = 0;
-  TimeWeighted kv_util_;
-  std::vector<KvSample> kv_timeline_;
+  obs::Gauge kv_util_;  ///< occupancy: average, peak and timeline
 
   // Prefix/KV tier (null when options.prefix_block_tokens == 0).
   std::unique_ptr<kv::PrefixCache> prefix_cache_;
-  std::function<void(std::uint64_t, std::size_t)> prefix_hook_;
   PrefixStats prefix_stats_;
 
   // Metrics.
@@ -268,8 +256,6 @@ class ClusterSim {
   void record_kv(Time now);
   void trace_request_end(const ActiveRequest& ar, Time now);
   void retire_request(std::unique_ptr<ActiveRequest> ar, Time now);
-  /// Forward coverage changes to the fleet hook (no-op when unset).
-  void notify_prefix(const std::vector<kv::CoverageChange>& changes);
   /// Input tokens this request actually prefills (input minus reuse).
   [[nodiscard]] static std::size_t effective_tokens(const ActiveRequest& ar);
   /// Current fault-injection slowdown of a stage: max compute_scale over

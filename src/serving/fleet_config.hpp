@@ -97,8 +97,8 @@ struct FleetConfig {
   /// drain-tail regime — without overriding backlog under load.
   double completion_weight = 0.01;
   /// Fold the prefix/KV tier into hero dispatch: probe the per-instance
-  /// caches and the fleet PrefixDirectory, discount holders' cost by the
-  /// reused work, and stream blocks across the fabric when that beats
+  /// caches for the best holder, discount holders' cost by the reused
+  /// work, and stream blocks across the fabric when that beats
   /// recomputing them. Off = prefix-blind dispatch (instances still reuse
   /// whatever happens to be cached locally). Irrelevant when the tier
   /// itself is disabled (ServingOptions::prefix_block_tokens == 0).

@@ -86,10 +86,8 @@ void FleetController::reap_drained() {
       still_draining.push_back(id);
       continue;
     }
-    // The replica leaves the router for good; mark_released purges its
-    // prefix-directory entries BEFORE release_plan returns the GPUs to the
-    // spare pool (tier drain-consistency ordering).
-    fleet_->router().remove_instance(id);
+    // mark_released retires the replica's prefix cache BEFORE release_plan
+    // returns the GPUs to the spare pool (tier drain-consistency ordering).
     fleet_->mark_released(id);
     planner::release_plan(spare_, pristine_, fleet_->instance(id).plan());
     ++stats_.releases;

@@ -6,9 +6,9 @@
 //   1. observes the fleet arrival rate from the router's dispatch counter
 //      (requests dispatched this tick / tick period) and EWMA-smooths it;
 //   2. reaps drained replicas whose last in-flight request retired —
-//      removing them from the router for good and releasing their GPUs
-//      back to the spare pool (planner::release_plan against a pristine
-//      copy of the topology);
+//      releasing them from the fleet (FleetSim::mark_released) and their
+//      GPUs back to the spare pool (planner::release_plan against a
+//      pristine copy of the topology);
 //   3. compares smoothed demand against the live fleet's aggregate
 //      service rate: above the scale-up threshold it plans ONE new replica
 //      from the spare pool (planner::plan_replica — heterogeneous pools

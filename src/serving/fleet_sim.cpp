@@ -41,11 +41,6 @@ ClusterSim& FleetSim::add_instance(planner::PlanResult plan) {
       std::move(options)));
   lifetimes_.push_back(life);
   stream_busy_.push_back(0);
-  // The instance's cache mirrors its coverage into the fleet directory.
-  instances_.back()->set_prefix_change_hook(
-      [this, id](std::uint64_t stream, std::size_t tokens) {
-        directory_.update(stream, id, tokens);
-      });
   router_.add_instance(*instances_.back());
   if (running_) instances_.back()->begin();
   if (deploy_after_) deploy_after_(id);
@@ -55,16 +50,19 @@ ClusterSim& FleetSim::add_instance(planner::PlanResult plan) {
 void FleetSim::mark_released(std::size_t id) {
   InstanceLifetime& life = lifetimes_.at(id);
   HERO_REQUIRE(life.released < 0, "instance {} released twice", id);
-  // Drain consistency (prefix tier): the cache retires and the directory
-  // forgets this instance before the caller hands its GPUs back, so no
-  // later dispatch can price a stream from released memory.
+  HERO_REQUIRE(!router_.is_active(id),
+               "instance {} released without being drained", id);
+  // Drain consistency (prefix tier): with no request in flight and no
+  // stream touching the instance, no block is pinned, so retiring the
+  // cache empties it and dispatch (which skips released instances) never
+  // streams from memory that is being handed back.
   HERO_REQUIRE(stream_busy_.at(id) == 0,
                "instance {} released with {} prefix streams in flight", id,
                stream_busy_.at(id));
   instances_.at(id)->retire_prefix_cache();
-  directory_.purge_instance(id);
-  HERO_INVARIANT(!directory_.instance_has_entries(id),
-                 "released instance {} still indexed by the directory", id);
+  HERO_INVARIANT(instances_.at(id)->kv().cached <= 0.0,
+                 "released instance {} still caches {} bytes", id,
+                 instances_.at(id)->kv().cached);
   life.released = network_->simulator().now();
 }
 
@@ -78,9 +76,10 @@ void FleetSim::dispatch(const wl::Request& request) {
   sim::Simulator& sim = network_->simulator();
   ArrivalContext ctx = router_.make_context(request);
 
-  // Prefix affinity: fold the per-instance caches and the fleet directory
-  // into the context so the hero cost can discount holders and the router
-  // can quote a cross-instance stream.
+  // Prefix affinity: fold the per-instance caches into the context so the
+  // hero cost can discount holders and the router can quote a stream from
+  // the best holder: the longest cached coverage, ties toward the lowest
+  // id. A released instance's blocks are never a stream source.
   if (prefix_tier_enabled() && router_.config().prefix_affinity &&
       router_.config().policy == RouterPolicy::kHeroServe &&
       request.session_id != 0 && request.prefix_tokens > 0) {
@@ -88,14 +87,17 @@ void FleetSim::dispatch(const wl::Request& request) {
     const std::size_t usable = request.prefix_tokens / bt * bt;
     if (usable > 0) {
       ctx.prefix_tokens = usable;
+      std::size_t best = 0;
       for (std::size_t i = 0; i < instances_.size(); ++i) {
-        ctx.probes[i].prefix_tokens = std::min(
-            usable, instances_[i]->cached_prefix_tokens(request.session_id));
+        const std::size_t cached =
+            instances_[i]->cached_prefix_tokens(request.session_id);
+        ctx.probes[i].prefix_tokens = std::min(usable, cached);
+        if (lifetimes_[i].released < 0 && cached > best) {
+          best = cached;
+          ctx.prefix_instance = i;
+        }
       }
-      if (const auto best = directory_.best(request.session_id)) {
-        ctx.prefix_instance = best->instance;
-        ctx.prefix_tokens = std::min(usable, best->tokens);
-      }
+      if (best > 0) ctx.prefix_tokens = std::min(usable, best);
     }
   }
 
@@ -152,9 +154,9 @@ void FleetSim::start_prefix_stream(const RouteDecision& decision,
           [this, from, to, request, tokens] {
             instances_.at(from)->unpin_prefix(request.session_id, tokens);
             // Adoption publishes the streamed coverage at the destination
-            // (capacity permitting) and mirrors it into the directory, so
-            // the submit below finds it as a local hit — and the *next*
-            // turn of the session routes to `to` directly.
+            // (capacity permitting), so the submit below finds it as a
+            // local hit — and the *next* turn of the session routes to
+            // `to` directly.
             instances_.at(to)->adopt_prefix(request.session_id, tokens);
             HERO_INVARIANT(
                 stream_busy_.at(from) > 0 && stream_busy_.at(to) > 0,

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "kvtier/directory.hpp"
 #include "serving/cluster_sim.hpp"
 #include "serving/router.hpp"
 
@@ -90,13 +89,12 @@ class FleetSim {
   /// lifetime starts there.
   ClusterSim& add_instance(planner::PlanResult plan);
 
-  /// Record that `id`'s GPUs were returned to the spare pool (closes its
-  /// lifetime for the GPU-hours integral). The FleetController calls this
-  /// when a drained instance retires its last in-flight request — BEFORE
-  /// planner::release_plan hands the GPUs back, because this is also where
-  /// the prefix tier's drain consistency is enforced: the instance's cache
-  /// retires and every one of its PrefixDirectory entries is purged, so
-  /// the router can never price a stream from released memory.
+  /// Release a drained instance: the one call that takes `id` out of the
+  /// fleet. Requires that the router already drains it and that no prefix
+  /// stream touches it. Retires its prefix cache (so no later dispatch
+  /// streams from it) and closes its lifetime for the GPU-hours integral.
+  /// The FleetController calls this once the instance's last in-flight
+  /// request retired, before planner::release_plan hands the GPUs back.
   void mark_released(std::size_t id);
 
   /// Route + serve the whole trace on the shared simulator.
@@ -121,9 +119,6 @@ class FleetSim {
   [[nodiscard]] bool prefix_tier_enabled() const {
     return base_serving_.prefix_block_tokens > 0;
   }
-  [[nodiscard]] const kv::PrefixDirectory& directory() const {
-    return directory_;
-  }
   /// In-flight cross-instance prefix streams touching `id` (as source or
   /// destination). A draining instance must not be released while > 0.
   [[nodiscard]] std::size_t stream_busy(std::size_t id) const {
@@ -147,7 +142,6 @@ class FleetSim {
   bool running_ = false;
 
   // Prefix/KV tier state (inert when the tier is disabled).
-  kv::PrefixDirectory directory_;
   std::vector<std::size_t> stream_busy_;
   std::uint64_t streams_total_ = 0;
   Bytes stream_bytes_total_ = 0.0;

@@ -74,23 +74,13 @@ std::size_t Router::add_instance(ClusterSim& instance) {
 }
 
 void Router::drain_instance(std::size_t id) {
-  Instance& inst = instances_.at(id);
-  HERO_REQUIRE(inst.state != State::kRemoved,
-               "drain_instance: instance {} already removed", id);
-  inst.state = State::kDraining;
-}
-
-void Router::remove_instance(std::size_t id) {
-  Instance& inst = instances_.at(id);
-  HERO_REQUIRE(inst.state == State::kDraining,
-               "remove_instance: instance {} not draining", id);
-  inst.state = State::kRemoved;
+  instances_.at(id).active = false;
 }
 
 std::size_t Router::active_count() const {
   std::size_t n = 0;
   for (const Instance& inst : instances_) {
-    if (inst.state == State::kActive) ++n;
+    if (inst.active) ++n;
   }
   return n;
 }
@@ -99,7 +89,7 @@ std::vector<std::size_t> Router::active_ids() const {
   std::vector<std::size_t> ids;
   ids.reserve(instances_.size());
   for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (instances_[i].state == State::kActive) ids.push_back(i);
+    if (instances_[i].active) ids.push_back(i);
   }
   return ids;
 }
@@ -111,7 +101,7 @@ ArrivalContext Router::make_context(const wl::Request& request) const {
   ctx.probes.reserve(instances_.size());
   for (const Instance& inst : instances_) {
     InstanceProbe probe;
-    probe.active = inst.state == State::kActive;
+    probe.active = inst.active;
     probe.load = inst.sim->load();
     probe.kv = inst.sim->kv();
     if (config_.policy == RouterPolicy::kHeroServe) {

@@ -19,18 +19,20 @@
 //
 // Every dispatch starts from one ArrivalContext — the request plus a
 // same-instant probe of every instance (load snapshot, KV snapshot, live
-// path estimates) and the fleet directory's best prefix holder. route()
-// consumes the context and returns a RouteDecision: the chosen instance
-// plus the prefix action — reuse in place (kHit), stream the blocks from
-// the holder over the fabric (kStream, priced against recomputing them at
-// the target's prefill rate), or recompute (kRecompute). The fleet layer
-// executes the decision; the router never mutates instance state.
+// path estimates) and the best prefix holder among the instance caches.
+// route() consumes the context and returns a RouteDecision: the chosen
+// instance plus the prefix action — reuse in place (kHit), stream the
+// blocks from the holder over the fabric (kStream, priced against
+// recomputing them at the target's prefill rate), or recompute
+// (kRecompute). The fleet layer executes the decision; the router never
+// mutates instance state.
 //
 // The dispatch set is elastic: instances can be added mid-run (autoscaler
-// scale-up) and taken out in two steps — drain_instance() stops dispatch
-// while in-flight requests finish, remove_instance() retires the drained
-// slot for good. Instance ids are stable for the whole run (dead slots are
-// never reused), so per-instance counters and reports stay attributable.
+// scale-up) and taken out for good by drain_instance(), which stops
+// dispatch while in-flight requests finish (FleetSim::mark_released then
+// releases the drained slot). Instance ids are stable for the whole run
+// (dead slots are never reused), so per-instance counters and reports stay
+// attributable.
 //
 // Everything is deterministic under a fixed seed: ties are broken by the
 // lowest instance id, and the only randomness is the router's own Rng.
@@ -67,14 +69,15 @@ struct InstanceProbe {
 };
 
 /// Everything one dispatch decision reads, sampled at the arrival instant.
-/// The fleet layer builds it (make_context + directory lookup), the router
+/// The fleet layer builds it (make_context + cache probes), the router
 /// consumes it; tests can synthesize or perturb one directly.
 struct ArrivalContext {
   wl::Request request;
   Time now = 0.0;
   /// One probe per registered instance (dead slots stay inactive).
   std::vector<InstanceProbe> probes;
-  /// Best prefix holder fleet-wide per the directory (kNoInstance = none).
+  /// Best prefix holder fleet-wide: the longest cached coverage, ties
+  /// toward the lowest id, released instances skipped (kNoInstance = none).
   std::size_t prefix_instance = kNoInstance;
   /// Block-aligned shareable prefix tokens of this request (0 = tier off,
   /// sessionless request, or sub-block prefix).
@@ -119,15 +122,13 @@ class Router {
   /// network's live link state via estimate_path() at dispatch time.
   std::size_t add_instance(ClusterSim& instance);
 
-  /// Stop dispatching to `id` (in-flight requests keep running). No-op on
-  /// an already-draining instance; must not be called on a removed one.
+  /// Stop dispatching to `id` for good (in-flight requests keep running).
+  /// The id stays allocated, so counters keep their slot. No-op on an
+  /// already-draining instance.
   void drain_instance(std::size_t id);
-  /// Retire a drained instance for good. The id stays allocated (counters
-  /// keep their slot) but the instance never re-enters the dispatch set.
-  void remove_instance(std::size_t id);
 
   [[nodiscard]] bool is_active(std::size_t id) const {
-    return instances_.at(id).state == State::kActive;
+    return instances_.at(id).active;
   }
   /// Instances currently eligible for dispatch.
   [[nodiscard]] std::size_t active_count() const;
@@ -135,7 +136,7 @@ class Router {
   /// Probe every instance at the current instant (loads, KV snapshots,
   /// and — for the hero policy — live path estimates). The caller layers
   /// prefix information on top before routing: per-probe cached tokens
-  /// and the directory's best holder.
+  /// and the best holder among them.
   [[nodiscard]] ArrivalContext make_context(const wl::Request& request) const;
 
   /// Pick the instance for the context's request (does not submit it) and
@@ -162,13 +163,11 @@ class Router {
   }
 
  private:
-  enum class State : std::uint8_t { kActive, kDraining, kRemoved };
-
   struct Instance {
     ClusterSim* sim = nullptr;
     /// Static shortest paths of the KV shards (one per prefill GPU).
     std::vector<topo::Path> kv_paths;
-    State state = State::kActive;
+    bool active = true;  ///< false once drained
   };
 
   net::FlowNetwork* network_;

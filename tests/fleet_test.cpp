@@ -113,14 +113,22 @@ TEST(RouterPolicy, ParseRoundTrips) {
 /// id, and keep doing so until load differentiates the instances.
 class RouterTieBreak : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { build(2); }
+
+  /// One single-server instance per rack, `racks` of them.
+  void build(std::size_t racks) {
+    scheduler_.reset();
+    engine_.reset();
+    switches_.reset();
+    network_.reset();
+    simulator_.reset();
     topo::FleetClusterOptions opts;
-    opts.racks = 2;
+    opts.racks = racks;
     opts.servers_per_rack = 1;
     graph_ = topo::make_fleet_cluster(opts);
     planner::FleetPlannerInputs in;
     in.base = base_inputs(graph_, llm::opt_66b());
-    in.instances = 2;
+    in.instances = racks;
     in.fleet_arrival_rate = 2.0;
     planner::FleetPlan plan = planner::FleetPlanner(in).plan();
     ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
@@ -246,59 +254,70 @@ TEST_F(RouterTieBreak, AffinityRoutesFollowUpToTheHolder) {
   EXPECT_EQ(fleet->instance(1).prefix_stats().reused_tokens, 1920u);
 }
 
-TEST_F(RouterTieBreak, DrainPurgesDirectoryBeforeRelease) {
+TEST_F(RouterTieBreak, DrainedInstanceNeverStreamsAfterRelease) {
   const auto fleet = make_fleet(serve::RouterPolicy::kHeroServe,
                                 std::nullopt, /*prefix_block_tokens=*/128);
+  fleet->instance(0).begin();
+  fleet->instance(1).begin();
   fleet->instance(0).adopt_prefix(7, 256);
   fleet->instance(1).adopt_prefix(7, 128);
-  EXPECT_EQ(fleet->directory().tokens_at(7, 0), 256u);
-  ASSERT_TRUE(fleet->directory().best(7).has_value());
-  EXPECT_EQ(fleet->directory().best(7)->instance, 0u);
 
-  // Drain and release instance 0 the way the controller does: the
-  // directory must forget it the moment its GPUs could be handed back.
+  // Drain and release instance 0 the way the controller does: its cache
+  // must be empty the moment its GPUs could be handed back.
   fleet->router().drain_instance(0);
   ASSERT_EQ(fleet->stream_busy(0), 0u);
-  fleet->router().remove_instance(0);
   fleet->mark_released(0);
-  EXPECT_FALSE(fleet->directory().instance_has_entries(0));
-  const auto best = fleet->directory().best(7);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->instance, 1u);
-  EXPECT_EQ(best->tokens, 128u);
+  EXPECT_DOUBLE_EQ(raw(fleet->instance(0).kv().cached), 0.0);
+  EXPECT_EQ(fleet->instance(0).cached_prefix_tokens(7), 0u);
   // The retired cache refuses new coverage, so no stale re-publication can
-  // resurrect the released instance in the directory.
-  fleet->instance(0).adopt_prefix(9, 256);
-  EXPECT_EQ(fleet->directory().tokens_at(9, 0), 0u);
+  // turn the released instance back into a holder.
+  fleet->instance(0).adopt_prefix(7, 256);
+  EXPECT_EQ(fleet->instance(0).cached_prefix_tokens(7), 0u);
+
+  // The next turn of session 7 reuses instance 1's blocks in place and
+  // never streams from instance 0.
+  wl::Request r = request();
+  r.session_id = 7;
+  r.prefix_tokens = 256;
+  fleet->dispatch(r);
+  EXPECT_EQ(fleet->stream_busy(0), 0u);
+  EXPECT_EQ(fleet->stream_busy(1), 0u);
+  EXPECT_EQ(fleet->router().dispatched()[1], 1u);
+  EXPECT_EQ(fleet->instance(1).prefix_stats().hits, 1u);
+  EXPECT_EQ(fleet->instance(1).prefix_stats().reused_tokens, 128u);
 }
 
-TEST_F(RouterTieBreak, DirectoryMirrorsCachesAfterMultiturnRun) {
+TEST_F(RouterTieBreak, StreamSourceIsTheLongestRawHolder) {
+  build(3);
   const auto fleet = make_fleet(serve::RouterPolicy::kHeroServe,
                                 std::nullopt, /*prefix_block_tokens=*/128);
-  wl::MultiturnOptions mt;
-  mt.base.rate = 1.0;
-  mt.base.count = 24;
-  mt.base.lengths = wl::sharegpt_lengths();
-  mt.base.seed = 11;
-  mt.mean_turns = 4.0;
-  mt.think_mean = 45.0;
-  const wl::Trace trace = wl::generate_multiturn_trace(mt);
-  const serve::FleetReport rep = fleet->run(trace);
-  EXPECT_EQ(rep.aggregate.completed, trace.size());
-  EXPECT_GT(rep.prefix.lookups, 0u);
-  EXPECT_GT(rep.prefix.published_tokens, 0u);
-  // Directory consistency after publishes, evictions, and (possibly)
-  // streams: the mirror agrees with every instance's cache for every
-  // session the trace touched.
-  std::set<std::uint64_t> sessions;
-  for (const wl::Request& r : trace) sessions.insert(r.session_id);
-  for (const std::uint64_t s : sessions) {
-    for (std::size_t i = 0; i < fleet->instance_count(); ++i) {
-      EXPECT_EQ(fleet->directory().tokens_at(s, i),
-                fleet->instance(i).cached_prefix_tokens(s))
-          << "session " << s << " instance " << i;
-    }
+  for (std::size_t i = 0; i < 3; ++i) fleet->instance(i).begin();
+  // Both holders cover the whole usable prefix (512 tokens); instance 1
+  // caches more of the session, so it is the holder even though the
+  // clamped coverages tie and instance 0 has the lower id.
+  fleet->instance(0).adopt_prefix(7, 512);
+  fleet->instance(1).adopt_prefix(7, 1024);
+  ASSERT_EQ(fleet->instance(0).cached_prefix_tokens(7), 512u);
+  ASSERT_EQ(fleet->instance(1).cached_prefix_tokens(7), 1024u);
+  // Queue prefill work on both holders so the idle instance 2 wins.
+  wl::Request load = request();
+  load.input_tokens = 4096;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    load.id = 100 + k;
+    fleet->instance(0).submit(load);
+    fleet->instance(1).submit(load);
   }
+
+  wl::Request r = request();
+  r.session_id = 7;
+  r.input_tokens = 2048;
+  r.prefix_tokens = 512;
+  fleet->dispatch(r);
+  EXPECT_EQ(fleet->router().dispatched()[2], 1u);
+  // The stream pins its source and marks both ends busy.
+  EXPECT_EQ(fleet->stream_busy(0), 0u);
+  EXPECT_EQ(fleet->stream_busy(1), 1u);
+  EXPECT_EQ(fleet->stream_busy(2), 1u);
 }
 
 ExperimentConfig fleet_config(std::size_t instances,

@@ -1,11 +1,7 @@
-// Tests for the hierarchical KV tier's building blocks: the per-instance
-// PrefixCache (block coverage, LRU eviction, pins, publish capacity math,
-// drain retirement) and the fleet-level PrefixDirectory mirror.
+// Tests for the KV tier's per-instance PrefixCache: block coverage, LRU
+// eviction, pins, publish capacity math and drain retirement.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "kvtier/directory.hpp"
 #include "kvtier/prefix_cache.hpp"
 
 namespace hero::kv {
@@ -19,7 +15,7 @@ PrefixCache make_cache(std::size_t block_tokens = 64,
 TEST(PrefixCache, PublishRoundsDownToWholeBlocks) {
   PrefixCache c = make_cache(64);
   // 200 tokens -> 3 blocks (192 tokens); the partial tail block is dropped.
-  EXPECT_EQ(c.publish(1, 200, 1e12, nullptr), 192u);
+  EXPECT_EQ(c.publish(1, 200, 1e12), 192u);
   EXPECT_EQ(c.cached_tokens(1), 192u);
   EXPECT_DOUBLE_EQ(raw(c.bytes_used()), 192.0 * 1024.0);
   EXPECT_EQ(c.usable_tokens(200), 192u);
@@ -28,41 +24,34 @@ TEST(PrefixCache, PublishRoundsDownToWholeBlocks) {
 
 TEST(PrefixCache, PublishNeverShrinksCoverage) {
   PrefixCache c = make_cache(64);
-  EXPECT_EQ(c.publish(1, 256, 1e12, nullptr), 256u);
+  EXPECT_EQ(c.publish(1, 256, 1e12), 256u);
   // Re-publishing a shorter context keeps the longer cached prefix.
-  EXPECT_EQ(c.publish(1, 128, 1e12, nullptr), 256u);
+  EXPECT_EQ(c.publish(1, 128, 1e12), 256u);
   EXPECT_EQ(c.cached_tokens(1), 256u);
 }
 
 TEST(PrefixCache, PublishStopsAtCapacity) {
   PrefixCache c = make_cache(64, 1.0);  // 64 bytes per block
   // Capacity of 2.5 blocks: only 2 publish.
-  EXPECT_EQ(c.publish(1, 640, 160.0, nullptr), 128u);
+  EXPECT_EQ(c.publish(1, 640, 160.0), 128u);
   EXPECT_DOUBLE_EQ(raw(c.bytes_used()), 128.0);
 }
 
 TEST(PrefixCache, LruEvictionTakesColdestTailFirst) {
   PrefixCache c = make_cache(64, 1.0);
-  c.publish(1, 128, 1e12, nullptr);  // oldest
-  c.publish(2, 128, 1e12, nullptr);
+  c.publish(1, 128, 1e12);  // oldest
+  c.publish(2, 128, 1e12);
   c.touch(1);  // stream 2 is now the LRU victim
-  std::vector<CoverageChange> changes;
-  // Free one block: stream 2 loses its tail block.
-  EXPECT_DOUBLE_EQ(raw(c.evict(64.0, &changes)), 64.0);
-  ASSERT_EQ(changes.size(), 1u);
-  EXPECT_EQ(changes[0].stream, 2u);
-  EXPECT_EQ(changes[0].tokens, 64u);
+  // Free one block: stream 2 loses its tail block, stream 1 nothing.
+  EXPECT_DOUBLE_EQ(raw(c.evict(64.0)), 64.0);
   EXPECT_EQ(c.cached_tokens(1), 128u);
   EXPECT_EQ(c.cached_tokens(2), 64u);
 }
 
 TEST(PrefixCache, FullyEvictedStreamReportsZeroCoverage) {
   PrefixCache c = make_cache(64, 1.0);
-  c.publish(1, 128, 1e12, nullptr);
-  std::vector<CoverageChange> changes;
-  c.evict(1e12, &changes);
-  ASSERT_FALSE(changes.empty());
-  EXPECT_EQ(changes.back().tokens, 0u);
+  c.publish(1, 128, 1e12);
+  EXPECT_DOUBLE_EQ(raw(c.evict(1e12)), 128.0);
   EXPECT_EQ(c.cached_tokens(1), 0u);
   EXPECT_EQ(c.stream_count(), 0u);
   EXPECT_DOUBLE_EQ(raw(c.bytes_used()), 0.0);
@@ -70,29 +59,28 @@ TEST(PrefixCache, FullyEvictedStreamReportsZeroCoverage) {
 
 TEST(PrefixCache, PinnedBlocksSurviveEviction) {
   PrefixCache c = make_cache(64, 1.0);
-  c.publish(1, 256, 1e12, nullptr);
+  c.publish(1, 256, 1e12);
   c.pin(1, 128);  // first two blocks protected
-  std::vector<CoverageChange> changes;
   // Ask for everything: only the unpinned tail (2 blocks) can go.
-  EXPECT_DOUBLE_EQ(raw(c.evict(1e12, &changes)), 128.0);
+  EXPECT_DOUBLE_EQ(raw(c.evict(1e12)), 128.0);
   EXPECT_EQ(c.cached_tokens(1), 128u);
   c.unpin(1, 128);
-  EXPECT_DOUBLE_EQ(raw(c.evict(1e12, &changes)), 128.0);
+  EXPECT_DOUBLE_EQ(raw(c.evict(1e12)), 128.0);
   EXPECT_EQ(c.cached_tokens(1), 0u);
 }
 
 TEST(PrefixCache, PinsBalanceAndNest) {
   PrefixCache c = make_cache(64, 1.0);
-  c.publish(1, 256, 1e12, nullptr);
+  c.publish(1, 256, 1e12);
   c.pin(1, 64);
   c.pin(1, 128);  // a longer pin protects everything below it
   EXPECT_EQ(c.pinned_count(), 2u);
-  std::vector<CoverageChange> changes;
-  EXPECT_DOUBLE_EQ(raw(c.evict(1e12, &changes)), 128.0);  // tail only
+  EXPECT_DOUBLE_EQ(raw(c.evict(1e12)), 128.0);  // tail only
+  EXPECT_EQ(c.cached_tokens(1), 128u);
   c.unpin(1, 128);
   EXPECT_EQ(c.pinned_count(), 1u);
   // The 64-token pin still guards the first block.
-  EXPECT_DOUBLE_EQ(raw(c.evict(1e12, &changes)), 64.0);
+  EXPECT_DOUBLE_EQ(raw(c.evict(1e12)), 64.0);
   EXPECT_EQ(c.cached_tokens(1), 64u);
   c.unpin(1, 64);
   EXPECT_EQ(c.pinned_count(), 0u);
@@ -101,102 +89,44 @@ TEST(PrefixCache, PinsBalanceAndNest) {
 TEST(PrefixCache, PublishEvictsOthersButNeverItself) {
   PrefixCache c = make_cache(64, 1.0);  // 64 bytes per block
   // Fill a 4-block budget with two cold streams.
-  c.publish(1, 128, 256.0, nullptr);
-  c.publish(2, 128, 256.0, nullptr);
-  std::vector<CoverageChange> changes;
+  c.publish(1, 128, 256.0);
+  c.publish(2, 128, 256.0);
   // Stream 3 wants 3 blocks; the cache must evict cold tails to fit it
-  // without ever counting stream 3 among the victims.
-  EXPECT_EQ(c.publish(3, 192, 256.0, &changes), 192u);
+  // without ever counting stream 3 among the victims: stream 1 (coldest)
+  // loses both blocks, stream 2 keeps its first.
+  EXPECT_EQ(c.publish(3, 192, 256.0), 192u);
   EXPECT_EQ(c.cached_tokens(3), 192u);
+  EXPECT_EQ(c.cached_tokens(1), 0u);
+  EXPECT_EQ(c.cached_tokens(2), 64u);
   EXPECT_DOUBLE_EQ(raw(c.bytes_used()), 256.0);
-  for (const CoverageChange& ch : changes) EXPECT_NE(ch.stream, 3u);
 }
 
 TEST(PrefixCache, PublishWithEverythingPinnedFitsWhatItCan) {
   PrefixCache c = make_cache(64, 1.0);
-  c.publish(1, 256, 256.0, nullptr);  // fills the 4-block budget
+  c.publish(1, 256, 256.0);  // fills the 4-block budget
   c.pin(1, 256);
   // Nothing evictable: the new stream publishes zero blocks.
-  EXPECT_EQ(c.publish(2, 128, 256.0, nullptr), 0u);
+  EXPECT_EQ(c.publish(2, 128, 256.0), 0u);
   EXPECT_EQ(c.cached_tokens(2), 0u);
   EXPECT_DOUBLE_EQ(raw(c.bytes_used()), 256.0);
 }
 
 TEST(PrefixCache, RetireDropsUnpinnedAndRefusesPublishes) {
   PrefixCache c = make_cache(64, 1.0);
-  c.publish(1, 128, 1e12, nullptr);
-  c.publish(2, 128, 1e12, nullptr);
+  c.publish(1, 128, 1e12);
+  c.publish(2, 128, 1e12);
   c.pin(2, 64);
-  const std::vector<CoverageChange> dropped = c.retire();
+  c.retire();
   // Stream 1 (unpinned) vanishes now; stream 2 lives until its unpin.
-  ASSERT_EQ(dropped.size(), 1u);
-  EXPECT_EQ(dropped[0].stream, 1u);
-  EXPECT_EQ(dropped[0].tokens, 0u);
+  EXPECT_EQ(c.cached_tokens(1), 0u);
+  EXPECT_EQ(c.stream_count(), 1u);
   EXPECT_TRUE(c.retired());
   EXPECT_EQ(c.cached_tokens(2), 128u);
-  EXPECT_EQ(c.publish(3, 128, 1e12, nullptr), 0u);
+  EXPECT_EQ(c.publish(3, 128, 1e12), 0u);
   c.unpin(2, 64);
   EXPECT_EQ(c.cached_tokens(2), 0u);
   EXPECT_EQ(c.stream_count(), 0u);
   EXPECT_DOUBLE_EQ(raw(c.bytes_used()), 0.0);
-}
-
-// --- fleet directory ---
-
-TEST(PrefixDirectory, BestPrefersLongestThenLowestId) {
-  PrefixDirectory d;
-  d.update(7, /*instance=*/2, 128);
-  d.update(7, /*instance=*/0, 256);
-  d.update(7, /*instance=*/1, 256);
-  const auto best = d.best(7);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->instance, 0u);  // tie at 256 -> lowest id
-  EXPECT_EQ(best->tokens, 256u);
-  EXPECT_EQ(d.tokens_at(7, 2), 128u);
-  EXPECT_EQ(d.tokens_at(7, 3), 0u);
-  EXPECT_FALSE(d.best(8).has_value());
-}
-
-TEST(PrefixDirectory, ZeroTokensRemovesEntry) {
-  PrefixDirectory d;
-  d.update(7, 0, 128);
-  EXPECT_EQ(d.entry_count(), 1u);
-  d.update(7, 0, 0);
-  EXPECT_EQ(d.entry_count(), 0u);
-  EXPECT_EQ(d.stream_count(), 0u);
-  EXPECT_FALSE(d.best(7).has_value());
-  EXPECT_EQ(d.holders(7), nullptr);
-}
-
-TEST(PrefixDirectory, PurgeInstanceDropsAllItsEntries) {
-  PrefixDirectory d;
-  d.update(1, 0, 64);
-  d.update(2, 0, 64);
-  d.update(2, 1, 128);
-  EXPECT_TRUE(d.instance_has_entries(0));
-  EXPECT_EQ(d.purge_instance(0), 2u);
-  EXPECT_FALSE(d.instance_has_entries(0));
-  EXPECT_EQ(d.entry_count(), 1u);
-  // Stream 1 lost its only holder; stream 2 keeps instance 1.
-  EXPECT_FALSE(d.best(1).has_value());
-  const auto best = d.best(2);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->instance, 1u);
-  // Purging again is a no-op.
-  EXPECT_EQ(d.purge_instance(0), 0u);
-}
-
-TEST(PrefixDirectory, UpdateOverwritesCoverage) {
-  PrefixDirectory d;
-  d.update(5, 1, 64);
-  d.update(5, 1, 192);  // grow
-  EXPECT_EQ(d.tokens_at(5, 1), 192u);
-  EXPECT_EQ(d.entry_count(), 1u);
-  d.update(5, 1, 64);  // shrink after eviction
-  EXPECT_EQ(d.tokens_at(5, 1), 64u);
-  const auto* holders = d.holders(5);
-  ASSERT_NE(holders, nullptr);
-  EXPECT_EQ(holders->size(), 1u);
 }
 
 }  // namespace

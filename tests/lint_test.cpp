@@ -244,6 +244,10 @@ TEST(LintTest, ClassifyPathMatchesRepoConventions) {
                   .library);
   EXPECT_FALSE(herolint::classify_path("tests/flownet_test.cpp").library);
   EXPECT_FALSE(herolint::classify_path("examples/quickstart.cpp").library);
+  // The tree directory nearest the file decides, not the first "/src/".
+  EXPECT_FALSE(herolint::classify_path("/x/src/demo/bench/a.cpp").library);
+  EXPECT_TRUE(herolint::classify_path("/x/src/repo/src/serving/a.cpp")
+                  .library);
   EXPECT_TRUE(herolint::classify_path("src/common/rng.hpp").rng_module);
   EXPECT_FALSE(herolint::classify_path("src/common/format.hpp").rng_module);
 }
@@ -394,6 +398,9 @@ TEST(IndexTest, SubsystemOfMatchesRepoLayout) {
             "online");
   EXPECT_EQ(herolint::subsystem_of("tools/lint/lint_core.cpp"), "");
   EXPECT_EQ(herolint::subsystem_of("bench/bench_util.hpp"), "");
+  EXPECT_EQ(herolint::subsystem_of("/x/src/demo/bench/a.cpp"), "");
+  EXPECT_EQ(herolint::subsystem_of("/x/src/repo/src/serving/a.cpp"),
+            "serving");
 }
 
 TEST(IndexTest, RelativeIncludesCollapseDotDot) {

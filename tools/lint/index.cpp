@@ -30,14 +30,8 @@ std::vector<IncludeDecl> extract_includes(const std::string& content) {
 }  // namespace
 
 std::string subsystem_of(const std::string& path) {
-  std::size_t pos;
-  if (path.rfind("src/", 0) == 0) {
-    pos = 4;
-  } else if ((pos = path.find("/src/")) != std::string::npos) {
-    pos += 5;
-  } else {
-    return {};
-  }
+  const std::size_t pos = library_offset(path);
+  if (pos == std::string::npos) return {};
   const std::size_t slash = path.find('/', pos);
   if (slash == std::string::npos) return {};  // src/file.hpp: no subsystem
   return path.substr(pos, slash - pos);

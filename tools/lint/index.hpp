@@ -59,8 +59,8 @@ class ProjectIndex {
   std::map<std::string, int> path_to_file_;
 };
 
-/// "src/netsim/flownet.cpp" -> "netsim"; "" when not under src/ or with
-/// no subsystem directory.
+/// "src/netsim/flownet.cpp" -> "netsim"; "" when not library code (see
+/// library_offset) or with no subsystem directory.
 [[nodiscard]] std::string subsystem_of(const std::string& path);
 
 /// `target` read relative to the directory of `from`, with `.` and `..`

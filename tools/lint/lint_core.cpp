@@ -6,6 +6,7 @@
 #include <regex>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace herolint {
 namespace {
@@ -364,14 +365,27 @@ void scan_raw_unit_literal(const std::vector<Token>& toks,
 
 }  // namespace
 
+std::size_t library_offset(const std::string& path) {
+  static const std::set<std::string, std::less<>> kTrees = {
+      "src", "bench", "tools", "examples", "tests", "perfbench"};
+  // Walk the directory components from the file's parent up to the root.
+  std::size_t end = path.rfind('/');
+  while (end != std::string::npos && end > 0) {
+    const std::size_t slash = path.rfind('/', end - 1);
+    const std::size_t begin = slash == std::string::npos ? 0 : slash + 1;
+    const std::string_view dir(path.data() + begin, end - begin);
+    if (kTrees.contains(dir)) {
+      return dir == "src" ? end + 1 : std::string::npos;
+    }
+    end = slash;
+  }
+  return std::string::npos;
+}
+
 FileContext classify_path(const std::string& path) {
   FileContext ctx;
-  auto contains = [&](const char* needle) {
-    return path.find(needle) != std::string::npos;
-  };
-  ctx.library = contains("/src/") ||
-                path.rfind("src/", 0) == 0;
-  ctx.rng_module = contains("common/rng");
+  ctx.library = library_offset(path) != std::string::npos;
+  ctx.rng_module = path.find("common/rng") != std::string::npos;
   return ctx;
 }
 

@@ -47,7 +47,13 @@ struct FileContext {
   bool rng_module = false;  ///< src/common/rng*: ambient-rng exempt
 };
 
-/// Classify a path by repo conventions ("src/" => library code).
+/// Where `path`'s library-relative part starts: the offset just past
+/// "src/" when the directory nearest the file that names a top-level tree
+/// (src, bench, tools, examples, tests, perfbench) is `src`, npos
+/// otherwise. So "/x/src/demo/bench/a.cpp" is bench code, not library.
+[[nodiscard]] std::size_t library_offset(const std::string& path);
+
+/// Classify a path by repo conventions (library_offset() => library code).
 [[nodiscard]] FileContext classify_path(const std::string& path);
 
 /// Everything one file produced: the findings that survive suppression
