@@ -133,6 +133,7 @@ SimStats collect_sim_stats(const sim::Simulator& simulator,
   stats.events_executed = simulator.executed_events();
   stats.events_scheduled = simulator.scheduled_events();
   stats.events_cancelled = simulator.cancelled_events();
+  stats.peak_pending_events = simulator.peak_pending_events();
   stats.flownet = network.stats();
   return stats;
 }

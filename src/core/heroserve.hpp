@@ -99,6 +99,8 @@ struct SimStats {
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;
+  /// Most events pending at once (the calendar's high-water mark).
+  std::uint64_t peak_pending_events = 0;
   net::FlowNetStats flownet;
 };
 

@@ -20,10 +20,11 @@ void FaultInjector::arm() {
   armed_ = true;
   for (const FaultEvent& ev : plan_.events) validate(ev);
   check_targets(plan_, network_->graph());
-  for (const FaultEvent& ev : plan_.events) schedule(ev);
+  for (std::size_t i = 0; i < plan_.events.size(); ++i) schedule(i);
 }
 
-void FaultInjector::schedule(const FaultEvent& ev) {
+void FaultInjector::schedule(std::size_t index) {
+  const FaultEvent& ev = plan_.events[index];
   sim::Simulator& s = simulator();
   const topo::Graph& g = network_->graph();
   switch (ev.kind) {
@@ -37,14 +38,17 @@ void FaultInjector::schedule(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kLinkFlap: {
-      const topo::EdgeId edge = target_edge(g, ev);
-      const Time down = ev.duration > 0.0 ? ev.duration : ev.period / 2.0;
-      for (std::uint32_t k = 0; k < ev.count; ++k) {
-        const Time start = ev.at + static_cast<double>(k) * ev.period;
-        s.schedule_in(start, [this, ev, edge] { inject_link(ev, edge); });
-        s.schedule_in(start + down,
-                      [this, ev, edge] { recover_link(ev, edge); });
-      }
+      // Every cycle's inject/recover keys are reserved here, where the
+      // cycles would all be scheduled; a cycle goes on the calendar when
+      // the previous cycle's inject fires (flap_cycle()).
+      FlapChain chain;
+      chain.event = index;
+      chain.edge = target_edge(g, ev);
+      chain.armed_at = s.now();
+      chain.down = ev.duration > 0.0 ? ev.duration : ev.period / 2.0;
+      chain.first_key = s.reserve_keys(2 * std::uint64_t{ev.count});
+      flaps_.push_back(chain);
+      if (ev.count > 0) schedule_flap_cycle(flaps_.size() - 1, 0);
       break;
     }
     case FaultKind::kSlotExhaust: {
@@ -76,6 +80,29 @@ void FaultInjector::schedule(const FaultEvent& ev) {
       break;
     }
   }
+}
+
+void FaultInjector::schedule_flap_cycle(std::size_t chain, std::uint32_t k) {
+  sim::Simulator& s = simulator();
+  const FlapChain& f = flaps_[chain];
+  const FaultEvent& ev = plan_.events[f.event];
+  // The times an eager schedule_in(start) / schedule_in(start + down) at
+  // arm() would have produced, operation for operation.
+  const Time start = ev.at + static_cast<double>(k) * ev.period;
+  s.schedule_keyed(f.armed_at + start, f.first_key + 2 * std::uint64_t{k},
+                   [this, chain, k] { flap_cycle(chain, k); });
+  s.schedule_keyed(f.armed_at + (start + f.down),
+                   f.first_key + 2 * std::uint64_t{k} + 1, [this, chain] {
+                     recover_link(plan_.events[flaps_[chain].event],
+                                  flaps_[chain].edge);
+                   });
+}
+
+void FaultInjector::flap_cycle(std::size_t chain, std::uint32_t k) {
+  const FlapChain& f = flaps_[chain];
+  const FaultEvent& ev = plan_.events[f.event];
+  if (k + 1 < ev.count) schedule_flap_cycle(chain, k + 1);
+  inject_link(ev, f.edge);
 }
 
 void FaultInjector::emit(const FaultEvent& ev, const char* phase,

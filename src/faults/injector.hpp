@@ -78,7 +78,22 @@ class FaultInjector {
   [[nodiscard]] sim::Simulator& simulator() const {
     return network_->simulator();
   }
-  void schedule(const FaultEvent& ev);
+  /// One link_flap event's cycles, chained on the calendar: only the next
+  /// cycle's inject/recover pair is ever pending.
+  struct FlapChain {
+    std::size_t event = 0;                   ///< index into plan_.events
+    topo::EdgeId edge = topo::kInvalidEdge;
+    Time armed_at = 0.0;                     ///< simulator time at arm()
+    Time down = 0.0;                         ///< degraded part of a cycle
+    std::uint64_t first_key = 0;             ///< cycle 0's inject key
+  };
+  std::vector<FlapChain> flaps_;
+
+  void schedule(std::size_t index);
+  /// Put cycle `k` of flaps_[chain] on the calendar under its keys.
+  void schedule_flap_cycle(std::size_t chain, std::uint32_t k);
+  /// Cycle `k`'s inject: chain cycle k + 1, then degrade the link.
+  void flap_cycle(std::size_t chain, std::uint32_t k);
 
   void inject_link(const FaultEvent& ev, topo::EdgeId edge);
   void recover_link(const FaultEvent& ev, topo::EdgeId edge);

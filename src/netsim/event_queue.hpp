@@ -7,26 +7,32 @@
 // reschedules completion events constantly (every rate change), so the
 // calendar is rebuilt here as an indexed binary min-heap over a slot pool:
 //
-//  - every live event owns a pool slot; the heap stores slot indices and
-//    each slot remembers its heap position, so cancel() is a true O(log n)
-//    removal — no tombstones, pending count == heap size by construction;
-//  - slots are recycled through a free list, so steady-state scheduling
-//    performs no allocation (the std::function's own capture buffer aside);
+//  - every live event owns a pool slot; the heap stores each event's
+//    (time, seq) key beside its slot, so sifting compares keys without
+//    chasing slots, and each slot remembers its heap position, so cancel()
+//    is a true O(log n) removal — no tombstones, pending count == heap size
+//    by construction;
+//  - slots are recycled through a free list and callbacks are
+//    InlineFunctions (common/inline_function.hpp) whose capture buffer
+//    holds the hot lambdas in place, so steady-state scheduling performs
+//    no allocation;
 //  - handles encode (generation, slot); a stale or bogus handle simply
 //    fails the generation check, keeping cancel() a safe no-op.
 //
 // Ordering is (time, sequence): `seq` is a monotone counter stamped at
-// insertion, which preserves the FIFO-among-equal-times contract the rest
-// of the stack depends on for determinism.
+// insertion (or a key reserved earlier, see Simulator::reserve_keys),
+// which preserves the FIFO-among-equal-times contract the rest of the
+// stack depends on for determinism. Keys are unique, so the pop order is
+// a pure function of the keys, never of the heap's shape.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/inline_function.hpp"
 #include "common/units.hpp"
 
 namespace hero::sim {
@@ -38,37 +44,35 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineFunction<void()>;
 
-  /// Insert an event. `seq` must be strictly increasing across calls — it is
+  /// Insert an event. `seq` must be unique among pending events — it is
   /// the FIFO tie-break among equal times.
-  EventId push(Time at, std::uint64_t seq, Callback cb) {
+  EventId push(Time at, std::uint64_t seq, Callback&& cb) {
     std::uint32_t slot = 0;
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
     } else {
-      slot = static_cast<std::uint32_t>(pool_.size());
-      pool_.emplace_back();
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+      callbacks_.emplace_back();
     }
-    Node& node = pool_[slot];
-    node.at = at;
-    node.seq = seq;
-    node.cb = std::move(cb);
-    node.pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(slot);
-    sift_up(node.pos);
-    return encode(node.gen, slot);
+    callbacks_[slot] = std::move(cb);
+    heap_.push_back(Entry{at, seq, slot});
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1), heap_.back());
+    return encode(slots_[slot].gen, slot);
   }
 
   /// Remove a pending event. Returns false (and does nothing) for handles
   /// that already fired, were already cancelled, or never existed.
   bool cancel(EventId id) {
     const std::uint32_t slot = decode_slot(id);
-    if (slot == kNoSlot || slot >= pool_.size()) return false;
-    Node& node = pool_[slot];
-    if (node.pos == kNotQueued || encode(node.gen, slot) != id) return false;
-    remove_at(node.pos);
+    if (slot == kNoSlot || slot >= slots_.size()) return false;
+    const Slot& s = slots_[slot];
+    if (s.pos == kNotQueued || encode(s.gen, slot) != id) return false;
+    remove_at(s.pos);
+    callbacks_[slot] = nullptr;
     retire(slot);
     return true;
   }
@@ -77,20 +81,18 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Earliest pending time; only valid when !empty().
-  [[nodiscard]] Time top_time() const { return pool_[heap_.front()].at; }
+  [[nodiscard]] Time top_time() const { return heap_.front().at; }
 
   /// Pop the earliest (time, seq) event and hand back its callback. The
   /// callback is moved out *before* the caller runs it, so an event is free
   /// to schedule or cancel others — the heap is already consistent.
   std::pair<Time, Callback> pop() {
     HERO_INVARIANT(!heap_.empty(), "EventQueue::pop on empty calendar");
-    const std::uint32_t slot = heap_.front();
-    Node& node = pool_[slot];
-    const Time at = node.at;
-    Callback cb = std::move(node.cb);
+    const Entry top = heap_.front();
+    Callback cb = std::move(callbacks_[top.slot]);
     remove_at(0);
-    retire(slot);
-    return {at, std::move(cb)};
+    retire(top.slot);
+    return {top.at, std::move(cb)};
   }
 
  private:
@@ -99,12 +101,15 @@ class EventQueue {
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
 
-  struct Node {
+  /// Heap element: the ordering key travels with the slot index.
+  struct Entry {
     Time at = 0.0;
     std::uint64_t seq = 0;
-    Callback cb;
+    std::uint32_t slot = 0;
+  };
+  struct Slot {
     std::uint32_t pos = kNotQueued;  ///< index into heap_, kNotQueued if free
-    std::uint32_t gen = 0;          ///< bumped on retire; stale-handle guard
+    std::uint32_t gen = 0;           ///< bumped on retire; stale-handle guard
   };
 
   static EventId encode(std::uint32_t gen, std::uint32_t slot) {
@@ -116,69 +121,66 @@ class EventQueue {
     return low == 0 ? kNoSlot : low - 1;
   }
 
-  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-    const Node& na = pool_[a];
-    const Node& nb = pool_[b];
-    if (na.at != nb.at) return na.at < nb.at;
-    return na.seq < nb.seq;
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
   }
 
-  void place(std::uint32_t pos, std::uint32_t slot) {
-    heap_[pos] = slot;
-    pool_[slot].pos = pos;
+  void place(std::uint32_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].pos = pos;
   }
 
-  void sift_up(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
+  /// Move `e` up from the hole at `pos` to where it belongs.
+  void sift_up(std::uint32_t pos, Entry e) {
     while (pos > 0) {
       const std::uint32_t parent = (pos - 1) / 2;
-      if (!before(slot, heap_[parent])) break;
+      if (!before(e, heap_[parent])) break;
       place(pos, heap_[parent]);
       pos = parent;
     }
-    place(pos, slot);
+    place(pos, e);
   }
 
-  void sift_down(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
+  /// Move `e` down from the hole at `pos` to where it belongs.
+  void sift_down(std::uint32_t pos, Entry e) {
     const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
     for (;;) {
       std::uint32_t child = 2 * pos + 1;
       if (child >= n) break;
       if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], slot)) break;
+      if (!before(heap_[child], e)) break;
       place(pos, heap_[child]);
       pos = child;
     }
-    place(pos, slot);
+    place(pos, e);
   }
 
   /// Detach heap_[pos] from the heap (the slot itself is retired by the
   /// caller). Fills the hole with the last element and restores order.
   void remove_at(std::uint32_t pos) {
-    const std::uint32_t last = static_cast<std::uint32_t>(heap_.size()) - 1;
-    if (pos != last) {
-      place(pos, heap_[last]);
-      heap_.pop_back();
-      // The filler may need to move either way relative to its new parent.
-      sift_down(pos);
-      sift_up(pool_[heap_[pos]].pos);
+    const Entry filler = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size()) return;  // removed the last element
+    // The filler may need to move either way relative to its new parent.
+    if (pos > 0 && before(filler, heap_[(pos - 1) / 2])) {
+      sift_up(pos, filler);
     } else {
-      heap_.pop_back();
+      sift_down(pos, filler);
     }
   }
 
   void retire(std::uint32_t slot) {
-    Node& node = pool_[slot];
-    node.pos = kNotQueued;
-    ++node.gen;
-    node.cb = nullptr;
+    Slot& s = slots_[slot];
+    s.pos = kNotQueued;
+    ++s.gen;
     free_.push_back(slot);
   }
 
-  std::vector<Node> pool_;
-  std::vector<std::uint32_t> heap_;   ///< slot indices, binary min-heap
-  std::vector<std::uint32_t> free_;   ///< recycled slots
+  std::vector<Entry> heap_;             ///< binary min-heap on (at, seq)
+  std::vector<Slot> slots_;             ///< per-slot heap position + gen
+  std::vector<Callback> callbacks_;     ///< per-slot pending callback
+  std::vector<std::uint32_t> free_;     ///< recycled slots
 };
 
 }  // namespace hero::sim

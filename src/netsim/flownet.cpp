@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -62,7 +61,7 @@ void FlowNetwork::retire_slot(std::uint32_t slot) {
   Transfer& t = pool_[slot];
   HERO_INVARIANT(t.pending_event == sim::kInvalidEvent,
                  "transfer {} retired with a live event", t.id);
-  slot_of_.erase(t.id);
+  --active_count_;
   t.id = kInvalidTransfer;
   t.in_flight = false;
   t.on_complete = nullptr;
@@ -136,21 +135,19 @@ TransferId FlowNetwork::start_transfer(const topo::Path& path, Bytes bytes,
   t.last_update = sim_->now();
   t.pending_event = sim::kInvalidEvent;
   t.on_complete = std::move(opts.on_complete);
-  slot_of_.emplace(id, slot);
+  ++active_count_;
   if (obs::EventTracer* tr = sim_->tracer()) {
     tr->async_begin(
-        sim_->now(), id, "net.flow",
-        graph_->node(path.nodes.front()).name + "->" +
-            graph_->node(path.nodes.back()).name,
+        sim_->now(), id, "net.flow", flow_label(t),
         {obs::arg("bytes", raw(bytes)), obs::arg("hops", path.edges.size()),
          obs::arg("pipelined", opts.pipelined)});
     tr->counter(sim_->now(), "net.active_transfers",
-                static_cast<double>(slot_of_.size()));
+                static_cast<double>(active_count_));
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("net.transfers").add();
     m->gauge("net.active_transfers")
-        .set(sim_->now(), static_cast<double>(slot_of_.size()));
+        .set(sim_->now(), static_cast<double>(active_count_));
   }
   begin_hop(slot);
   return id;
@@ -196,10 +193,12 @@ void FlowNetwork::activate(std::uint32_t slot, TransferId id) {
 }
 
 void FlowNetwork::cancel_transfer(TransferId id) {
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return;
-  const std::uint32_t slot = it->second;
-  Transfer& t = pool_[slot];
+  if (id == kInvalidTransfer) return;
+  const auto it = std::find_if(pool_.begin(), pool_.end(),
+                               [id](const Transfer& t) { return t.id == id; });
+  if (it == pool_.end()) return;
+  const auto slot = static_cast<std::uint32_t>(it - pool_.begin());
+  Transfer& t = *it;
   if (t.pending_event != sim::kInvalidEvent) {
     sim_->cancel(t.pending_event);
     t.pending_event = sim::kInvalidEvent;
@@ -212,18 +211,19 @@ void FlowNetwork::cancel_transfer(TransferId id) {
     --in_flight_count_;
     detach_links(slot);
   }
-  std::string flow_name = flow_label(t);
+  obs::EventTracer* tr = sim_->tracer();
+  std::string flow_name = tr ? flow_label(t) : std::string();
   retire_slot(slot);
-  if (obs::EventTracer* tr = sim_->tracer()) {
+  if (tr) {
     tr->async_end(sim_->now(), id, "net.flow", std::move(flow_name),
                   {obs::arg("cancelled", true)});
     tr->counter(sim_->now(), "net.active_transfers",
-                static_cast<double>(slot_of_.size()));
+                static_cast<double>(active_count_));
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("net.cancelled").add();
     m->gauge("net.active_transfers")
-        .set(sim_->now(), static_cast<double>(slot_of_.size()));
+        .set(sim_->now(), static_cast<double>(active_count_));
   }
   if (was_in_flight) reallocate_dirty();
 }
@@ -276,7 +276,8 @@ void FlowNetwork::collect_all_in_flight(
 }
 
 void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
-                                  std::vector<Bandwidth>& rates) const {
+                                  const std::vector<std::size_t>& links,
+                                  std::vector<Bandwidth>& rates) {
   // Weighted progressive filling, generalized to flows spanning several
   // links (pipelined mode): fixing a flow at the bottleneck's fair share
   // consumes capacity on every other link it crosses. `slots` arrives
@@ -284,45 +285,53 @@ void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
   // therefore every floating-point result — match the whole-fabric solve
   // restricted to this component, bit for bit.
   rates.assign(slots.size(), 0.0);
-  struct LinkState {
-    Bandwidth residual = 0.0;
-    double weight_sum = 0.0;
-  };
-  // Ordered by directed-link index: when two links tie for the bottleneck
-  // share, the winner must not depend on hash order (it decides which
-  // flows get fixed first, and therefore every later rate).
-  std::map<std::size_t, LinkState> links;
+
+  // Links are scanned in ascending directed-link index: when two links tie
+  // for the bottleneck share, the winner must not depend on hash or
+  // discovery order (it decides which flows get fixed first, and therefore
+  // every later rate). A link no flow spans keeps weight 0 and is never a
+  // bottleneck. Weights accumulate per link in slot order.
+  solve_state_.resize(links.size());
+  if (link_slot_.empty()) link_slot_.assign(link_rate_.size(), 0);
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    const std::size_t idx = links[k];
+    link_slot_[idx] = static_cast<std::uint32_t>(k);
+    const DirectedLink link{static_cast<topo::EdgeId>(idx / 2),
+                            (idx % 2) == 0};
+    solve_state_[k] = SolveLink{link_capacity(link), 0.0, true};
+  }
   for (const std::uint32_t slot : slots) {
     const Transfer& t = pool_[slot];
     for (const DirectedLink& link : t.spans) {
-      auto [it, inserted] =
-          links.try_emplace(link.index(), LinkState{link_capacity(link)});
-      it->second.weight_sum += t.weight;
+      solve_state_[link_slot_[link.index()]].weight_sum += t.weight;
     }
   }
 
-  std::vector<std::uint32_t> unfixed(slots.size());
-  for (std::uint32_t i = 0; i < unfixed.size(); ++i) unfixed[i] = i;
+  solve_unfixed_.resize(slots.size());
+  for (std::uint32_t i = 0; i < solve_unfixed_.size(); ++i) {
+    solve_unfixed_[i] = i;
+  }
 
-  while (!unfixed.empty()) {
+  while (!solve_unfixed_.empty()) {
     // Find the bottleneck link: minimal fair share per unit weight.
     Bandwidth best_share = std::numeric_limits<Bandwidth>::infinity();
-    std::size_t best_link = ~std::size_t{0};
-    for (const auto& [idx, state] : links) {
-      if (state.weight_sum <= 0) continue;
+    std::size_t best = links.size();
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      const SolveLink& state = solve_state_[k];
+      if (!state.live || state.weight_sum <= 0) continue;
       const Bandwidth share = state.residual / state.weight_sum;
       if (share < best_share) {
         best_share = share;
-        best_link = idx;
+        best = k;
       }
     }
-    if (best_link == ~std::size_t{0}) break;
+    if (best == links.size()) break;
+    const std::size_t best_link = links[best];
 
     // Fix every unfixed transfer crossing the bottleneck; release their
-    // demand from the other links they span.
-    std::vector<std::uint32_t> rest;
-    rest.reserve(unfixed.size());
-    for (const std::uint32_t i : unfixed) {
+    // demand from the other links they span. The rest keep their order.
+    std::size_t kept = 0;
+    for (const std::uint32_t i : solve_unfixed_) {
       const Transfer& t = pool_[slots[i]];
       const bool on_bottleneck =
           std::any_of(t.spans.begin(), t.spans.end(),
@@ -330,22 +339,21 @@ void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
                         return l.index() == best_link;
                       });
       if (!on_bottleneck) {
-        rest.push_back(i);
+        solve_unfixed_[kept++] = i;
         continue;
       }
       rates[i] = best_share * t.weight;
       for (const DirectedLink& link : t.spans) {
         if (link.index() == best_link) continue;
-        auto it = links.find(link.index());
-        if (it != links.end()) {
-          it->second.residual =
-              std::max(Bandwidth{0.0}, it->second.residual - rates[i]);
-          it->second.weight_sum -= t.weight;
+        SolveLink& state = solve_state_[link_slot_[link.index()]];
+        if (state.live) {
+          state.residual = std::max(Bandwidth{0.0}, state.residual - rates[i]);
+          state.weight_sum -= t.weight;
         }
       }
     }
-    links.erase(best_link);
-    unfixed.swap(rest);
+    solve_state_[best].live = false;
+    solve_unfixed_.resize(kept);
   }
 }
 
@@ -416,7 +424,7 @@ void FlowNetwork::reallocate_dirty() {
   if (!comp_flows_.empty()) {
     ++stats_.solves;
     stats_.flows_solved += comp_flows_.size();
-    solve_component(comp_flows_, solved_rates_);
+    solve_component(comp_flows_, comp_links_, solved_rates_);
   } else {
     solved_rates_.clear();
   }
@@ -487,7 +495,17 @@ void FlowNetwork::refresh_link(std::size_t index, Time now,
 void FlowNetwork::validate_against_full_solve() {
   ++stats_.validations;
   collect_all_in_flight(validate_flows_);
-  solve_component(validate_flows_, validate_rates_);
+  validate_links_.clear();
+  for (const std::uint32_t slot : validate_flows_) {
+    for (const DirectedLink& link : pool_[slot].spans) {
+      validate_links_.push_back(link.index());
+    }
+  }
+  std::sort(validate_links_.begin(), validate_links_.end());
+  validate_links_.erase(
+      std::unique(validate_links_.begin(), validate_links_.end()),
+      validate_links_.end());
+  solve_component(validate_flows_, validate_links_, validate_rates_);
   for (std::size_t i = 0; i < validate_flows_.size(); ++i) {
     const Transfer& t = pool_[validate_flows_[i]];
     if (validate_rates_[i] != t.rate) {
@@ -532,18 +550,19 @@ void FlowNetwork::on_hop_complete(std::uint32_t slot, TransferId id) {
   HERO_INVARIANT(t.pipelined || t.hop == t.path.edges.size(),
                  "transfer {} finished on hop {}/{}", id, t.hop,
                  t.path.edges.size());
-  auto cb = std::move(t.on_complete);
-  std::string flow_name = flow_label(t);
+  TransferCallback cb = std::move(t.on_complete);
+  obs::EventTracer* tr = sim_->tracer();
+  std::string flow_name = tr ? flow_label(t) : std::string();
   retire_slot(slot);
-  if (obs::EventTracer* tr = sim_->tracer()) {
+  if (tr) {
     tr->async_end(now, id, "net.flow", std::move(flow_name));
     tr->counter(now, "net.active_transfers",
-                static_cast<double>(slot_of_.size()));
+                static_cast<double>(active_count_));
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("net.completed").add();
     m->gauge("net.active_transfers")
-        .set(now, static_cast<double>(slot_of_.size()));
+        .set(now, static_cast<double>(active_count_));
   }
   reallocate_dirty();
   if (cb) cb(id);
@@ -600,7 +619,7 @@ Bytes FlowNetwork::delivered_bytes(DirectedLink link) const {
 
 void FlowNetwork::debug_dump() const {
   std::vector<std::uint32_t> slots;
-  slots.reserve(slot_of_.size());
+  slots.reserve(active_count_);
   for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
     if (pool_[slot].id != kInvalidTransfer) slots.push_back(slot);
   }

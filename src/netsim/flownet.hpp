@@ -26,13 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/inline_function.hpp"
 #include "netsim/sim.hpp"
 #include "topology/graph.hpp"
 #include "topology/paths.hpp"
@@ -57,9 +56,12 @@ struct DirectedLink {
   }
 };
 
+/// Completion callback of a transfer (move-only; small captures inline).
+using TransferCallback = InlineFunction<void(TransferId)>;
+
 struct TransferOptions {
   /// Invoked at completion of the final hop.
-  std::function<void(TransferId)> on_complete;
+  TransferCallback on_complete;
   /// Optional priority weight for max-min sharing (>= share of bandwidth on
   /// contended links proportional to weight). 1.0 = normal.
   double weight = 1.0;
@@ -116,11 +118,12 @@ class FlowNetwork {
   TransferId start_transfer(const topo::Path& path, Bytes bytes,
                             TransferOptions opts = {});
 
-  /// Abort an in-flight transfer (no completion callback fires).
+  /// Abort an in-flight transfer (no completion callback fires). O(pool
+  /// size): a diagnostics and test path, not a serving one.
   void cancel_transfer(TransferId id);
 
   [[nodiscard]] std::size_t active_transfers() const {
-    return slot_of_.size();
+    return active_count_;
   }
 
   // --- monitoring (the "hardware counters") ---
@@ -180,7 +183,7 @@ class FlowNetwork {
     bool in_flight = false;  // false while waiting out hop latency
     Time last_update = 0;
     sim::EventId pending_event = sim::kInvalidEvent;  // activation/completion
-    std::function<void(TransferId)> on_complete;
+    TransferCallback on_complete;
     /// Directed links occupied while in flight: the current hop for
     /// store-and-forward flows, every hop for pipelined ones. Cached at
     /// activation so the hot loops never re-derive directions.
@@ -216,9 +219,12 @@ class FlowNetwork {
   void reallocate_dirty();
   void collect_all_in_flight(std::vector<std::uint32_t>& out) const;
   /// Weighted progressive filling over `slots` (must be sorted by transfer
-  /// id); writes per-slot rates into `rates`. Pure: mutates no flow state.
+  /// id) on `links` (ascending directed-link indexes; every link the slots
+  /// span, and possibly idle ones); writes per-slot rates into `rates`.
+  /// Mutates no flow state, only the solver scratch below.
   void solve_component(const std::vector<std::uint32_t>& slots,
-                       std::vector<Bandwidth>& rates) const;
+                       const std::vector<std::size_t>& links,
+                       std::vector<Bandwidth>& rates);
   void refresh_link(std::size_t index, Time now,
                     obs::MetricsRegistry* metrics);
   void validate_against_full_solve();
@@ -228,11 +234,13 @@ class FlowNetwork {
   TransferId next_id_ = 1;
 
   /// Transfer pool: slots are recycled through free_slots_ so steady-state
-  /// transfer churn performs no allocation. slot_of_ is lookup-only (never
-  /// iterated — id-ordered walks go through the pool or the link indexes).
+  /// transfer churn performs no allocation. No id -> slot index is kept:
+  /// the engine hands each event its slot, and cancel_transfer() (which no
+  /// serving path calls) scans the pool instead of paying a hash-node
+  /// allocation on every transfer.
   std::vector<Transfer> pool_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<TransferId, std::uint32_t> slot_of_;
+  std::size_t active_count_ = 0;  ///< occupied pool slots
   std::size_t in_flight_count_ = 0;
 
   std::vector<double> degradation_;          // per edge
@@ -255,7 +263,18 @@ class FlowNetwork {
   std::vector<std::uint32_t> comp_flows_;
   std::vector<std::size_t> comp_links_;
   std::vector<Bandwidth> solved_rates_;
+
+  // solve_component scratch (grows on first use; no per-solve allocation).
+  struct SolveLink {
+    Bandwidth residual = 0.0;
+    double weight_sum = 0.0;
+    bool live = true;  ///< false once the link was a round's bottleneck
+  };
+  std::vector<SolveLink> solve_state_;       // parallel to the solve's links
+  std::vector<std::uint32_t> link_slot_;     // directed link -> its position
+  std::vector<std::uint32_t> solve_unfixed_; // positions in `slots` not fixed
   std::vector<std::uint32_t> validate_flows_;
+  std::vector<std::size_t> validate_links_;
   std::vector<Bandwidth> validate_rates_;
 
   bool full_solve_ = false;

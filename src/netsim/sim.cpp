@@ -7,13 +7,34 @@
 
 namespace hero::sim {
 
-EventId Simulator::schedule(Time at, Callback cb) {
+EventId Simulator::push(Time at, std::uint64_t seq, Callback&& cb) {
   if (at < now_) throw std::invalid_argument("Simulator: event in the past");
-  return queue_.push(at, next_seq_++, std::move(cb));
+  const EventId id = queue_.push(at, seq, std::move(cb));
+  if (queue_.size() > peak_pending_) peak_pending_ = queue_.size();
+  return id;
+}
+
+EventId Simulator::schedule(Time at, Callback cb) {
+  const EventId id = push(at, next_seq_, std::move(cb));
+  ++next_seq_;
+  return id;
 }
 
 EventId Simulator::schedule_in(Time delay, Callback cb) {
   return schedule(now_ + delay, std::move(cb));
+}
+
+std::uint64_t Simulator::reserve_keys(std::uint64_t n) {
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+EventId Simulator::schedule_keyed(Time at, std::uint64_t seq, Callback cb) {
+  if (seq == 0 || seq >= next_seq_) {
+    throw std::invalid_argument("Simulator: event key was never reserved");
+  }
+  return push(at, seq, std::move(cb));
 }
 
 void Simulator::cancel(EventId id) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/check.hpp"
 
@@ -43,6 +42,16 @@ PolicyTable::PolicyTable(std::vector<Policy> policies,
     : graph_(&graph), policies_(std::move(policies)) {
   if (policies_.empty()) {
     throw std::invalid_argument("PolicyTable: no policies");
+  }
+  for (const Policy& p : policies_) {
+    // Policy/link bookkeeping: every policy must carry its deduplicated,
+    // deterministically ordered edge set (plan_edges() contract) — the
+    // Eq. 18 sharing ratios are summed in this order, and membership tests
+    // binary-search it.
+    HERO_REQUIRE(std::is_sorted(p.edges.begin(), p.edges.end()) &&
+                     std::adjacent_find(p.edges.begin(), p.edges.end()) ==
+                         p.edges.end(),
+                 "policy {} edge set not sorted/unique", p.name);
   }
   // Penalties start at the static sharing ratios computed from capacities.
   penalty_.assign(policies_.size(), std::vector<double>(policies_.size(), 0));
@@ -135,21 +144,42 @@ void PolicyTable::update_penalties(const net::FlowNetwork* net,
     return cap;
   };
 
+  // Every policy's edge weights and their total, once per call: the
+  // weights do not depend on the selected policy. Each total and each
+  // shared sum accumulates in the policy's own (sorted) edge order.
+  weight_begin_.resize(policies_.size() + 1);
+  weight_total_.resize(policies_.size());
+  edge_weights_.clear();
+  for (std::size_t c = 0; c < policies_.size(); ++c) {
+    weight_begin_[c] = edge_weights_.size();
+    Bandwidth total = 0.0;
+    for (topo::EdgeId e : policies_[c].edges) {
+      const Bandwidth w = edge_weight(e);
+      total += w;
+      edge_weights_.push_back(w);
+    }
+    weight_total_[c] = total;
+  }
+  weight_begin_[policies_.size()] = edge_weights_.size();
+
   for (std::size_t sel = 0; sel < policies_.size(); ++sel) {
-    std::unordered_set<topo::EdgeId> sel_edges(policies_[sel].edges.begin(),
-                                               policies_[sel].edges.end());
+    // plan_edges() lists are sorted and unique: membership is a binary
+    // search.
+    const std::vector<topo::EdgeId>& sel_edges = policies_[sel].edges;
     for (std::size_t other = 0; other < policies_.size(); ++other) {
       if (other == sel) {
         penalty_[sel][other] = 1.0;
         continue;
       }
+      const std::vector<topo::EdgeId>& edges = policies_[other].edges;
       Bandwidth shared = 0.0;
-      Bandwidth total = 0.0;
-      for (topo::EdgeId e : policies_[other].edges) {
-        const Bandwidth w = edge_weight(e);
-        total += w;
-        if (sel_edges.contains(e)) shared += w;
+      for (std::size_t k = 0; k < edges.size(); ++k) {
+        if (std::binary_search(sel_edges.begin(), sel_edges.end(),
+                               edges[k])) {
+          shared += edge_weights_[weight_begin_[other] + k];
+        }
       }
+      const Bandwidth total = weight_total_[other];
       const double ratio = total > 0 ? shared / total : 0.0;
       penalty_[sel][other] =
           (1.0 - cfg.gamma) * penalty_[sel][other] + cfg.gamma * ratio;

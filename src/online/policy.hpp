@@ -47,7 +47,8 @@ struct Policy {
   /// size per collective call.
   coll::AllReducePlan plan;
   /// Every edge the policy touches (wide paths + NVLink-local edges);
-  /// deduplicated. Drives the sharing ratio W and cost measurement.
+  /// sorted ascending and deduplicated (plan_edges()). Drives the sharing
+  /// ratio W and cost measurement.
   std::vector<topo::EdgeId> edges;
   /// b_c: virtual bandwidth utilization ratio of the policy's links.
   double cost = 0.0;
@@ -101,6 +102,13 @@ class PolicyTable {
   const topo::Graph* graph_;
   std::vector<Policy> policies_;
   std::vector<std::vector<double>> penalty_;  // f_{(c*, c)}
+
+  // update_penalties scratch: policy c's edge weights are
+  // edge_weights_[weight_begin_[c], weight_begin_[c + 1]), their sum
+  // weight_total_[c].
+  std::vector<Bandwidth> edge_weights_;
+  std::vector<std::size_t> weight_begin_;
+  std::vector<Bandwidth> weight_total_;
 };
 
 }  // namespace hero::online

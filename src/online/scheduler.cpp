@@ -97,15 +97,6 @@ OnlineScheduler::OnlineScheduler(net::FlowNetwork& network,
 
 GroupId OnlineScheduler::register_group(std::string name,
                                         std::vector<Policy> policies) {
-  for (const Policy& p : policies) {
-    // Policy/link bookkeeping: every policy must carry its deduplicated,
-    // deterministically ordered edge set (plan_edges() contract) — the
-    // Eq. 18 sharing ratios are summed in this order.
-    HERO_REQUIRE(std::is_sorted(p.edges.begin(), p.edges.end()) &&
-                     std::adjacent_find(p.edges.begin(), p.edges.end()) ==
-                         p.edges.end(),
-                 "policy {} edge set not sorted/unique", p.name);
-  }
   names_.push_back(std::move(name));
   tables_.push_back(std::make_unique<PolicyTable>(std::move(policies),
                                                   network_->graph()));

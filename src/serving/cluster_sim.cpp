@@ -64,9 +64,11 @@ gpu::GpuSpec slowest_spec(const topo::Graph& g,
 ClusterSim::ClusterSim(net::FlowNetwork& network,
                        coll::CollectiveEngine& engine,
                        coll::CommScheduler& scheduler,
-                       planner::PlanResult plan, ServingOptions options)
+                       planner::PlanResult plan, ServingOptions options,
+                       std::size_t instance_id, FleetKvGauge* fleet_kv)
     : network_(&network), engine_(&engine), scheduler_(&scheduler),
-      plan_(std::move(plan)), opts_(std::move(options)) {
+      plan_(std::move(plan)), opts_(std::move(options)),
+      instance_id_(instance_id), fleet_kv_(fleet_kv) {
   if (!plan_.feasible) {
     throw std::invalid_argument("ClusterSim: plan is infeasible");
   }
@@ -190,8 +192,35 @@ void ClusterSim::record_kv(Time now) {
       kv_budget_ > 0 ? (kv_used_ + cached) / kv_budget_ : 0.0;
   kv_util_.set(now, util);
   if (obs::MetricsRegistry* m = simulator().metrics()) {
-    m->gauge("serve.kv_utilization").set(now, util);
+    own_gauge(*m, "serve.kv_utilization").set(now, util);
+    if (fleet_kv_ != nullptr) {
+      fleet_kv_->report(instance_id_, kv_budget_, util, now, *m);
+    }
   }
+}
+
+obs::Gauge& ClusterSim::own_gauge(obs::MetricsRegistry& m,
+                                  std::string_view name) const {
+  return m.gauge(strfmt("i{}.{}", instance_id_, name));
+}
+
+void FleetKvGauge::report(std::size_t instance, Bytes budget, double util,
+                          Time now, obs::MetricsRegistry& metrics) {
+  if (instance >= util_.size()) {
+    budget_.resize(instance + 1, Bytes{0.0});
+    util_.resize(instance + 1, 0.0);
+  }
+  budget_[instance] = budget;
+  util_[instance] = util;
+  Bytes total = 0.0;
+  for (const Bytes b : budget_) total += b;
+  double value = 0.0;
+  if (total > 0) {
+    for (std::size_t i = 0; i < util_.size(); ++i) {
+      value += util_[i] * (budget_[i] / total);
+    }
+  }
+  metrics.gauge("serve.kv_utilization").set(now, value);
 }
 
 void ClusterSim::trace_request_end(const ActiveRequest& ar, Time now) {
@@ -414,7 +443,7 @@ void ClusterSim::on_prefill_piece_done() {
     decode_wait_queue_.push_back(std::move(ar));
   }
   if (obs::MetricsRegistry* m = simulator().metrics()) {
-    m->gauge("serve.decode_wait")
+    own_gauge(*m, "serve.decode_wait")
         .set(now, static_cast<double>(decode_wait_queue_.size()));
   }
   prefill_running_.reset();
@@ -456,7 +485,7 @@ void ClusterSim::try_admit_decode() {
   }
   record_kv(now);
   if (obs::MetricsRegistry* m = simulator().metrics()) {
-    m->gauge("serve.decode_wait")
+    own_gauge(*m, "serve.decode_wait")
         .set(now, static_cast<double>(decode_wait_queue_.size()));
     m->gauge("serve.decoding").set(now, static_cast<double>(decoding_.size()));
   }

@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "collectives/comm_scheduler.hpp"
@@ -135,11 +136,28 @@ struct ServingReport {
   std::size_t gpus_used = 0;
 };
 
+/// A fleet's `serve.kv_utilization` gauge: the budget-weighted mean of its
+/// instances' KV utilization, sum_i u_i * (b_i / sum_j b_j) in instance
+/// order, so a fleet of one reports its instance's value bit for bit. Each
+/// instance reports whenever its own utilization changes.
+class FleetKvGauge {
+ public:
+  void report(std::size_t instance, Bytes budget, double util, Time now,
+              obs::MetricsRegistry& metrics);
+
+ private:
+  std::vector<Bytes> budget_;  ///< per instance (0 until it first reports)
+  std::vector<double> util_;
+};
+
 class ClusterSim {
  public:
+  /// `instance_id` prefixes the instance's own gauges ("i2.serve.*"); a
+  /// non-null `fleet_kv` also receives every KV-utilization change.
   ClusterSim(net::FlowNetwork& network, coll::CollectiveEngine& engine,
              coll::CommScheduler& scheduler, planner::PlanResult plan,
-             ServingOptions options);
+             ServingOptions options, std::size_t instance_id = 0,
+             FleetKvGauge* fleet_kv = nullptr);
 
   ClusterSim(const ClusterSim&) = delete;
   ClusterSim& operator=(const ClusterSim&) = delete;
@@ -216,6 +234,8 @@ class ClusterSim {
   coll::CommScheduler* scheduler_;
   planner::PlanResult plan_;
   ServingOptions opts_;
+  std::size_t instance_id_ = 0;
+  FleetKvGauge* fleet_kv_ = nullptr;
 
   std::vector<Stage> prefill_stages_;
   std::vector<Stage> decode_stages_;
@@ -254,6 +274,9 @@ class ClusterSim {
   void start_decode_iteration();
   void on_decode_iteration_done(std::size_t batch_size);
   void record_kv(Time now);
+  /// This instance's own gauge `name` ("i<id>.<name>").
+  [[nodiscard]] obs::Gauge& own_gauge(obs::MetricsRegistry& m,
+                                      std::string_view name) const;
   void trace_request_end(const ActiveRequest& ar, Time now);
   void retire_request(std::unique_ptr<ActiveRequest> ar, Time now);
   /// Input tokens this request actually prefills (input minus reuse).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/format.hpp"
@@ -37,8 +38,8 @@ ClusterSim& FleetSim::add_instance(planner::PlanResult plan) {
   life.gpus = plan.prefill.all_gpus().size() + plan.decode.all_gpus().size();
 
   instances_.push_back(std::make_unique<ClusterSim>(
-      *network_, *engine_, *scheduler_, std::move(plan),
-      std::move(options)));
+      *network_, *engine_, *scheduler_, std::move(plan), std::move(options),
+      id, &kv_gauge_));
   lifetimes_.push_back(life);
   stream_busy_.push_back(0);
   router_.add_instance(*instances_.back());
@@ -168,6 +169,19 @@ void FleetSim::start_prefix_stream(const RouteDecision& decision,
           });
 }
 
+void FleetSim::schedule_arrival(std::size_t k) {
+  const std::uint32_t i = arrival_order_[k];
+  arrival_event_ = network_->simulator().schedule_keyed(
+      (*trace_)[i].arrival, first_arrival_key_ + i,
+      [this, k] { on_arrival(k); });
+}
+
+void FleetSim::on_arrival(std::size_t k) {
+  arrival_event_ = sim::kInvalidEvent;
+  if (k + 1 < arrival_order_.size()) schedule_arrival(k + 1);
+  dispatch((*trace_)[arrival_order_[k]]);
+}
+
 FleetReport FleetSim::run(const wl::Trace& trace) {
   HERO_REQUIRE(!instances_.empty(), "FleetSim::run: no instances deployed");
   sim::Simulator& sim = network_->simulator();
@@ -183,11 +197,23 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
   const Time max_sim_time = base_serving_.max_sim_time;
   for (auto& inst : instances_) inst->begin();
 
-  for (const wl::Request& r : trace) {
-    // Dispatch happens at the arrival instant against the fleet's live
-    // state (queue depths and residual bandwidth as of *now*).
-    sim.schedule(r.arrival, [this, r] { dispatch(r); });
-  }
+  // Dispatch happens at the arrival instant against the fleet's live state
+  // (queue depths and residual bandwidth as of *now*). Every arrival's
+  // calendar key is reserved here, trace index i taking key first + i, but
+  // only the next arrival in (arrival, index) order is ever pending: each
+  // one schedules its successor when it fires. The keys order every
+  // arrival exactly where scheduling them all up front would have.
+  trace_ = &trace;
+  arrival_order_.resize(trace.size());
+  std::iota(arrival_order_.begin(), arrival_order_.end(), std::uint32_t{0});
+  std::sort(arrival_order_.begin(), arrival_order_.end(),
+            [&trace](std::uint32_t a, std::uint32_t b) {
+              if (trace[a].arrival < trace[b].arrival) return true;
+              if (trace[b].arrival < trace[a].arrival) return false;
+              return a < b;
+            });
+  first_arrival_key_ = sim.reserve_keys(trace.size());
+  if (!trace.empty()) schedule_arrival(0);
 
   // Count-driven exit: autoscaler ticks keep the event queue non-empty
   // forever, so the loop ends on the retired count, not queue exhaustion.
@@ -195,6 +221,11 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
     if (!sim.step()) break;
   }
   running_ = false;
+  // A run cut off by max_sim_time may leave the next arrival pending; drop
+  // it so no closure outlives the trace it indexes.
+  sim.cancel(arrival_event_);
+  arrival_event_ = sim::kInvalidEvent;
+  trace_ = nullptr;
   if (total_retired() < trace.size()) {
     log::warn(
         "fleet run incomplete: t={} retired={}/{} instances={} transfers={} "

@@ -137,6 +137,7 @@ class FleetSim {
   Router router_;
   std::vector<std::unique_ptr<ClusterSim>> instances_;
   std::vector<InstanceLifetime> lifetimes_;
+  FleetKvGauge kv_gauge_;  ///< the fleet's serve.kv_utilization
   std::function<void(std::size_t)> deploy_before_;
   std::function<void(std::size_t)> deploy_after_;
   bool running_ = false;
@@ -146,7 +147,17 @@ class FleetSim {
   std::uint64_t streams_total_ = 0;
   Bytes stream_bytes_total_ = 0.0;
 
+  // Arrival chain of the run in progress (see run()).
+  const wl::Trace* trace_ = nullptr;
+  std::vector<std::uint32_t> arrival_order_;  ///< trace indices, dispatch order
+  std::uint64_t first_arrival_key_ = 0;       ///< calendar key of trace[0]
+  sim::EventId arrival_event_ = sim::kInvalidEvent;
+
   [[nodiscard]] std::size_t total_retired() const;
+  /// Put arrival_order_[k] on the calendar under its reserved key.
+  void schedule_arrival(std::size_t k);
+  /// Chain arrival k + 1, then dispatch arrival k.
+  void on_arrival(std::size_t k);
   /// Execute a kStream decision: pin at the source, move the blocks as
   /// pipelined fabric flows, adopt at the destination, then submit.
   void start_prefix_stream(const RouteDecision& decision,

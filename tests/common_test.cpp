@@ -2,7 +2,9 @@
 // formatting, tables, unit conversions, and command-line parsing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "common/cli.hpp"
 #include "common/fixed_point.hpp"
+#include "common/inline_function.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -409,6 +412,122 @@ TEST(CliDeathTest, LoadOrExitTurnsThrowIntoCleanError) {
                 throw std::runtime_error("cannot open plan.json");
               }),
               ::testing::ExitedWithCode(1), "error: cannot open plan.json");
+}
+
+// --- InlineFunction ---
+
+/// Callable of `Pad` bytes of payload that counts its live copies.
+template <std::size_t Pad>
+struct Counted {
+  int* live = nullptr;
+  std::array<unsigned char, Pad> pad{};
+
+  explicit Counted(int* counter) : live(counter) { ++*live; }
+  Counted(const Counted& other) : live(other.live), pad(other.pad) {
+    ++*live;
+  }
+  Counted(Counted&& other) noexcept : live(other.live), pad(other.pad) {
+    ++*live;
+  }
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() { --*live; }
+  int operator()(int x) const { return x + static_cast<int>(Pad); }
+};
+
+using SmallFn = InlineFunction<int(int)>;
+
+TEST(InlineFunction, HotCapturesStayInlineLargeOnesGoToTheHeap) {
+  int a = 0;
+  const void* p = nullptr;
+  std::uint64_t id = 0;
+  auto hop = [&a, p, id] { return a + (p != nullptr) + static_cast<int>(id); };
+  auto ring = [&a, p, id, q = std::make_shared<int>(1)] { return a + *q; };
+  static_assert(sizeof(hop) == 24 && sizeof(ring) == 40);
+  EXPECT_TRUE(InlineFunction<int()>::stores_inline<decltype(hop)>);
+  EXPECT_TRUE(InlineFunction<int()>::stores_inline<decltype(ring)>);
+  EXPECT_TRUE(SmallFn::stores_inline<Counted<16>>);
+  EXPECT_FALSE(SmallFn::stores_inline<Counted<64>>);
+
+  SmallFn small = Counted<16>(&a);
+  SmallFn large = Counted<64>(&a);
+  EXPECT_EQ(a, 2);
+  EXPECT_EQ(small(1), 17);
+  EXPECT_EQ(large(1), 65);
+  InlineFunction<int()> r = ring;
+  EXPECT_EQ(r(), 3);  // a == 2, *q == 1
+}
+
+TEST(InlineFunction, EmptyStatesFollowStdFunction) {
+  SmallFn none;
+  EXPECT_FALSE(none);
+  SmallFn null = nullptr;
+  EXPECT_FALSE(null);
+  SmallFn f = [](int x) { return 2 * x; };
+  ASSERT_TRUE(f);
+  EXPECT_EQ(f(21), 42);
+  f = nullptr;
+  EXPECT_FALSE(f);
+}
+
+TEST(InlineFunction, HoldsMoveOnlyCaptures) {
+  auto owned = std::make_unique<int>(7);
+  InlineFunction<int()> f = [v = std::move(owned)] { return *v; };
+  EXPECT_EQ(f(), 7);
+  InlineFunction<int()> g = std::move(f);
+  EXPECT_FALSE(f);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(g(), 7);
+  // A const function object still invokes its (mutable) target.
+  int calls = 0;
+  const InlineFunction<void()> counter = [&calls]() mutable { ++calls; };
+  counter();
+  counter();
+  EXPECT_EQ(calls, 2);
+}
+
+template <std::size_t Pad>
+void expect_balanced_lifetimes() {
+  int live = 0;
+  {
+    SmallFn f = Counted<Pad>(&live);
+    EXPECT_EQ(live, 1);  // the temporary is gone, the target remains
+    SmallFn g = std::move(f);
+    EXPECT_EQ(live, 1);
+    EXPECT_EQ(g(0), static_cast<int>(Pad));
+    SmallFn h = Counted<Pad>(&live);
+    EXPECT_EQ(live, 2);
+    h = std::move(g);  // destroys h's old target
+    EXPECT_EQ(live, 1);
+    h = nullptr;
+    EXPECT_EQ(live, 0);
+    SmallFn k = Counted<Pad>(&live);
+    EXPECT_EQ(live, 1);
+  }  // k's destructor
+  EXPECT_EQ(live, 0);
+}
+
+TEST(InlineFunction, DestroysEveryTargetExactlyOnce) {
+  expect_balanced_lifetimes<16>();  // inline, non-trivial relocation
+  expect_balanced_lifetimes<64>();  // heap
+}
+
+TEST(InlineFunction, MovesAcrossVectorGrowth) {
+  int live = 0;
+  {
+    std::vector<SmallFn> fns;
+    for (int i = 0; i < 40; ++i) {
+      if (i % 2 == 0) {
+        fns.emplace_back(Counted<8>(&live));
+      } else {
+        fns.emplace_back([i](int x) { return x + i; });
+      }
+    }
+    EXPECT_EQ(live, 20);
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_EQ(fns[i](100), i % 2 == 0 ? 108 : 100 + i);
+    }
+  }
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

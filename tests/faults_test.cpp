@@ -4,10 +4,14 @@
 // byte-level determinism of chaos runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/heroserve.hpp"
 #include "faults/injector.hpp"
+#include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "topology/builders.hpp"
 
@@ -231,6 +235,78 @@ TEST(FaultInjector, LinkFlapCyclesDegradation) {
   EXPECT_DOUBLE_EQ(f.network.link_degradation(edge), 1.0);
   EXPECT_EQ(injector.injected(), 3u);
   EXPECT_EQ(injector.recovered(), 3u);
+}
+
+/// Flap cycles go on the calendar one at a time, but must fire at exactly
+/// the times (and, among equal times, in exactly the order) of the old
+/// arm(), which scheduled every cycle up front with schedule_in(start) and
+/// schedule_in(start + down).
+TEST(FaultInjector, ChainedFlapCyclesKeepTheEagerTimes) {
+  InjectorFixture f;
+  obs::EventTracer tracer;
+  f.simulator.attach(obs::Sink(&tracer, nullptr));
+  f.simulator.schedule(3.0, [] {});
+  f.simulator.run();  // arm at t = 3: arm time + offset must not drift
+  const Time t_arm = f.simulator.now();
+
+  FaultPlan plan;
+  // Two links flapping in lockstep (their injects tie), periods and
+  // offsets that are not exact binary fractions.
+  for (const char* target : {"w0g1-sw1", "w1g1-sw1"}) {
+    FaultEvent ev = f.event(FaultKind::kLinkFlap, 0.1, 0.3, target, 0.25);
+    ev.count = 6;
+    ev.period = 0.7;
+    plan.events.push_back(ev);
+  }
+  FaultEvent slow = f.event(FaultKind::kLinkFlap, 0.8, 0.0, "w0g1-sw1", 0.5);
+  slow.count = 3;
+  slow.period = 1.4;  // down = period / 2
+  plan.events.push_back(slow);
+
+  struct Expected {
+    Time at = 0.0;
+    std::uint64_t key = 0;  ///< the eager schedule's insertion order
+    std::string what;
+  };
+  std::vector<Expected> want;
+  std::uint64_t key = 0;
+  for (const FaultEvent& ev : plan.events) {
+    const Time down = ev.duration > 0.0 ? ev.duration : ev.period / 2.0;
+    for (std::uint32_t k = 0; k < ev.count; ++k) {
+      const Time start = ev.at + static_cast<double>(k) * ev.period;
+      want.push_back({t_arm + start, key++, ev.target + " inject"});
+      want.push_back({t_arm + (start + down), key++, ev.target + " recover"});
+    }
+  }
+  std::sort(want.begin(), want.end(),
+            [](const Expected& a, const Expected& b) {
+              if (a.at < b.at) return true;
+              if (b.at < a.at) return false;
+              return a.key < b.key;
+            });
+
+  FaultInjector injector(f.network, plan, {});
+  injector.arm();
+  EXPECT_LE(f.simulator.pending_events(), 2u * plan.events.size());
+  f.simulator.run();
+
+  std::vector<Expected> got;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.category != "fault") continue;
+    std::string target;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.key == "target") target = a.value;
+    }
+    const bool inject = e.name == "link_flap:inject";
+    got.push_back({e.time, 0, target + (inject ? " inject" : " recover")});
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(raw(got[i].at), raw(want[i].at)) << "event " << i;
+    EXPECT_EQ(got[i].what, want[i].what) << "event " << i;
+  }
+  EXPECT_EQ(injector.injected(), 15u);
+  EXPECT_EQ(injector.recovered(), 15u);
 }
 
 TEST(FaultInjector, SlotExhaustSeizesAndReleasesPool) {

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/heroserve.hpp"
+#include "obs/trace.hpp"
 
 namespace hero {
 namespace {
@@ -230,6 +234,68 @@ TEST_F(RouterTieBreak, RoundRobinRotates) {
             0u);
   EXPECT_EQ(fleet->router().dispatched()[0], 2u);
   EXPECT_EQ(fleet->router().dispatched()[1], 1u);
+}
+
+// --- arrival calendar ---
+
+/// Request ids in the order the fleet routed them (the "route" instants).
+std::vector<std::uint64_t> routed_ids(const obs::EventTracer& tracer) {
+  std::vector<std::uint64_t> ids;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.name != "route") continue;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.key == "req") ids.push_back(std::stoull(a.value));
+    }
+  }
+  return ids;
+}
+
+TEST_F(RouterTieBreak, UnsortedTraceDispatchesInArrivalThenIndexOrder) {
+  obs::EventTracer tracer;
+  simulator_->attach(obs::Sink(&tracer, nullptr));
+  const auto fleet = make_fleet(serve::RouterPolicy::kRoundRobin);
+  // Out of order, with duplicate timestamps: dispatch follows arrival
+  // time, and trace position among equal times — the order the calendar
+  // gave when every arrival was scheduled up front in trace order.
+  const double arrivals[] = {0.3, 0.1, 0.3, 0.1, 0.2, 0.0, 0.1};
+  wl::Trace trace;
+  for (std::size_t i = 0; i < std::size(arrivals); ++i) {
+    wl::Request r = request();
+    r.id = 10 + i;
+    r.arrival = arrivals[i];
+    trace.push_back(r);
+  }
+  const serve::FleetReport report = fleet->run(trace);
+  EXPECT_EQ(report.aggregate.completed, trace.size());
+  EXPECT_EQ(routed_ids(tracer),
+            (std::vector<std::uint64_t>{15, 11, 13, 16, 14, 10, 12}));
+  // Only one arrival is ever pending, whatever the trace length.
+  EXPECT_LT(simulator_->peak_pending_events(), trace.size() + 64);
+}
+
+TEST_F(RouterTieBreak, RunCutOffByMaxSimTimeDropsPendingArrivals) {
+  serve::FleetConfig fc;
+  fc.policy = serve::RouterPolicy::kRoundRobin;
+  serve::ServingOptions opts;
+  opts.model = llm::opt_66b();
+  opts.max_sim_time = 1.0;
+  serve::FleetSim fleet(*network_, *engine_, *scheduler_, fc, opts);
+  for (const planner::PlanResult& p : plan_.instances) fleet.add_instance(p);
+  {
+    wl::Trace trace;
+    for (const double at : {0.0, 0.5, 5.0, 6.0, 7.0}) {
+      wl::Request r = request();
+      r.id = trace.size();
+      r.arrival = at;
+      trace.push_back(r);
+    }
+    const serve::FleetReport report = fleet.run(trace);
+    EXPECT_LT(report.aggregate.completed, trace.size());
+  }  // the trace is gone; nothing on the calendar may still refer to it
+  const std::vector<std::uint64_t> before = fleet.router().dispatched();
+  EXPECT_EQ(before[0] + before[1], 2u);
+  simulator_->run_until(20.0);
+  EXPECT_EQ(fleet.router().dispatched(), before);
 }
 
 // --- prefix/KV tier at fleet level ---

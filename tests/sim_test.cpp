@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "netsim/sim.hpp"
 
@@ -219,6 +222,97 @@ TEST(Simulator, CancelStressMatchesReferenceModel) {
   EXPECT_EQ(fired, want);
   EXPECT_EQ(s.executed_events(), want.size());
   EXPECT_EQ(s.cancelled_events(), 100u);
+}
+
+/// One calendar, built two ways: a source of events scheduled all up front
+/// (`keyed` false), or the same events with keys reserved at that point and
+/// each one scheduled only when its predecessor fires. Ordinary events are
+/// scheduled before and after the source, at the source's timestamps, and
+/// from inside its callbacks. Returns the order everything fired in.
+std::vector<std::string> fire_order(bool keyed, Simulator& s) {
+  const std::vector<double> times = {1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 5.0};
+  std::vector<std::string> log;
+  s.schedule(1.0, [&log] { log.push_back("before@1"); });
+  s.schedule(2.0, [&log] { log.push_back("before@2"); });
+  auto body = [&log, &s](std::size_t k) {
+    log.push_back("src" + std::to_string(k));
+    // Same-time follow-ups order behind every reserved key.
+    s.schedule_in(0.0, [&log, k] { log.push_back("echo" + std::to_string(k)); });
+  };
+  std::function<void(std::size_t)> chain;
+  std::uint64_t first = 0;
+  if (keyed) {
+    first = s.reserve_keys(times.size());
+    chain = [&](std::size_t k) {
+      s.schedule_keyed(times[k], first + k, [&, k] {
+        if (k + 1 < times.size()) chain(k + 1);
+        body(k);
+      });
+    };
+    chain(0);
+  } else {
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      s.schedule(times[k], [&body, k] { body(k); });
+    }
+  }
+  s.schedule(1.0, [&log] { log.push_back("after@1"); });
+  s.schedule(2.0, [&log] { log.push_back("after@2"); });
+  s.schedule(5.0, [&log] { log.push_back("after@5"); });
+  s.run();
+  return log;
+}
+
+TEST(Simulator, KeyedChainFiresLikeUpFrontScheduling) {
+  Simulator eager;
+  Simulator keyed;
+  const std::vector<std::string> want = fire_order(false, eager);
+  const std::vector<std::string> got = fire_order(true, keyed);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(want.size(), 19u);
+  EXPECT_EQ(want[0], "before@1");
+  EXPECT_EQ(want[1], "src0");
+  EXPECT_EQ(want[2], "src1");
+  EXPECT_EQ(want[3], "after@1");
+  // Every counter but the calendar's size matches.
+  EXPECT_EQ(keyed.scheduled_events(), eager.scheduled_events());
+  EXPECT_EQ(keyed.executed_events(), eager.executed_events());
+  EXPECT_EQ(keyed.cancelled_events(), eager.cancelled_events());
+  EXPECT_LT(keyed.peak_pending_events(), eager.peak_pending_events());
+}
+
+TEST(Simulator, ScheduleKeyedRejectsUnreservedKeysAndPastTimes) {
+  Simulator s;
+  EXPECT_THROW(s.schedule_keyed(1.0, 0, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_keyed(1.0, 1, [] {}), std::invalid_argument);
+  const std::uint64_t first = s.reserve_keys(2);
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(s.scheduled_events(), 2u);
+  EXPECT_THROW(s.schedule_keyed(1.0, first + 2, [] {}),
+               std::invalid_argument);
+  s.schedule(4.0, [] {});
+  s.run();
+  EXPECT_THROW(s.schedule_keyed(1.0, first, [] {}), std::invalid_argument);
+  bool ran = false;
+  s.schedule_keyed(4.0, first + 1, [&ran] { ran = true; });
+  s.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Simulator, PeakPendingEventsIsTheHighWaterMark) {
+  Simulator s;
+  EXPECT_EQ(s.peak_pending_events(), 0u);
+  const EventId a = s.schedule(1.0, [] {});
+  s.schedule(2.0, [] {});
+  s.schedule(3.0, [] {});
+  s.cancel(a);
+  s.schedule(4.0, [] {});
+  EXPECT_EQ(s.pending_events(), 3u);
+  EXPECT_EQ(s.peak_pending_events(), 3u);
+  s.schedule(5.0, [] {});
+  s.run();
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.peak_pending_events(), 4u);
 }
 
 }  // namespace
