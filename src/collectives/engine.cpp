@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
@@ -19,11 +20,12 @@ const char* to_string(Scheme scheme) {
   return "?";
 }
 
-/// State of one ring all-reduce pass (flat wide phase or one NVLink-local
-/// group). Addresses stay stable: Ops live behind unique_ptr and these
-/// vectors are fully built before the first flow launches.
-struct RingRun {
-  std::vector<topo::Path> paths;
+/// One ring all-reduce pass (the flat wide phase or one NVLink-local
+/// group) over ring paths the plan owns. Addresses stay stable: Ops live
+/// behind unique_ptr and their run vectors are fully built before the first
+/// flow launches.
+struct CollectiveEngine::RingRun {
+  const std::vector<topo::Path>* paths = nullptr;
   Bytes chunk = 0;
   std::size_t steps_left = 0;
   std::size_t flows_pending = 0;
@@ -38,41 +40,17 @@ struct CollectiveEngine::Op {
   std::vector<RingRun> local_runs;
   std::size_t local_pending = 0;
   RingRun wide_ring;
-  std::size_t flows_pending = 0;  // INA / fallback / broadcast phases
+  std::size_t flows_pending = 0;  // the send() barrier
   bool holds_slots = false;
 };
 
 namespace {
 
-void start_ring_pass(CollectiveEngine& engine, net::FlowNetwork& network,
-                     RingRun& run, std::function<void()> on_done);
-
-void ring_step(CollectiveEngine& engine, net::FlowNetwork& network,
-               RingRun& run, const std::shared_ptr<std::function<void()>>& done) {
-  run.flows_pending = run.paths.size();
-  for (const topo::Path& path : run.paths) {
-    network.start_transfer(
-        path, run.chunk,
-        net::TransferOptions{[&engine, &network, &run, done](net::TransferId) {
-          if (--run.flows_pending != 0) return;
-          if (--run.steps_left == 0) {
-            (*done)();
-          } else {
-            ring_step(engine, network, run, done);
-          }
-        }});
-  }
-}
-
-void start_ring_pass(CollectiveEngine& engine, net::FlowNetwork& network,
-                     RingRun& run, std::function<void()> on_done) {
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  if (run.paths.size() <= 1 || run.steps_left == 0 || run.chunk <= 0) {
-    // Degenerate ring: complete asynchronously for uniform semantics.
-    network.simulator().schedule_in(0.0, [done] { (*done)(); });
-    return;
-  }
-  ring_step(engine, network, run, done);
+/// Async span name; the end event repeats it (legacy async matching is by
+/// category, name and id).
+std::string span_name(const AllReducePlan& plan) {
+  std::string name = to_string(plan.scheme);
+  return plan.flat() ? name : "hier-" + name;
 }
 
 }  // namespace
@@ -97,8 +75,6 @@ void CollectiveEngine::all_reduce(AllReducePlan plan, Done done) {
 
   sim::Simulator& sim = network_->simulator();
   if (obs::EventTracer* tr = sim.tracer()) {
-    std::string name = to_string(ref.plan.scheme);
-    if (!ref.plan.flat()) name = "hier-" + name;
     obs::TraceArgs args{
         obs::arg("bytes", ref.plan.bytes),
         obs::arg("scheme", to_string(ref.plan.scheme)),
@@ -108,7 +84,7 @@ void CollectiveEngine::all_reduce(AllReducePlan plan, Done done) {
       args.push_back(obs::arg(
           "switch", network_->graph().node(ref.plan.switch_node).name));
     }
-    tr->async_begin(sim.now(), id, "collective", std::move(name),
+    tr->async_begin(sim.now(), id, "collective", span_name(ref.plan),
                     std::move(args));
     tr->counter(sim.now(), "coll.inflight",
                 static_cast<double>(ops_.size()));
@@ -119,48 +95,85 @@ void CollectiveEngine::all_reduce(AllReducePlan plan, Done done) {
                                   static_cast<double>(ops_.size()));
   }
 
-  if (!ref.plan.local_groups.empty()) {
+  if (!ref.plan.flat()) {
     start_local_phase(ref);
   } else {
     start_wide_phase(ref);
   }
 }
 
+// Every callback below captures its Op by reference. An op leaves ops_
+// only in finish(), after its last flow and timer, and nothing cancels an
+// op's flows, so the reference outlives every callback.
+
+void CollectiveEngine::send(Op& op, const std::vector<topo::Path>& paths,
+                            std::span<const double> scale, Phase then) {
+  op.flows_pending = paths.size();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    network_->start_transfer(
+        paths[i], scale.empty() ? op.plan.bytes : op.plan.bytes * scale[i],
+        net::TransferOptions{[this, &op, then](net::TransferId) {
+          if (--op.flows_pending == 0) (this->*then)(op);
+        }});
+  }
+}
+
+void CollectiveEngine::ring_pass(Op& op, RingRun& run) {
+  if (run.paths->size() <= 1 || run.steps_left == 0 || run.chunk <= 0) {
+    // Degenerate ring: complete asynchronously for uniform semantics.
+    network_->simulator().schedule_in(
+        0.0, [this, &op, &run] { ring_passed(op, run); });
+    return;
+  }
+  run.flows_pending = run.paths->size();
+  for (const topo::Path& path : *run.paths) {
+    network_->start_transfer(
+        path, run.chunk,
+        net::TransferOptions{[this, &op, &run](net::TransferId) {
+          if (--run.flows_pending != 0) return;
+          if (--run.steps_left == 0) {
+            ring_passed(op, run);
+          } else {
+            ring_pass(op, run);
+          }
+        }});
+  }
+}
+
+void CollectiveEngine::ring_passed(Op& op, const RingRun& run) {
+  if (&run == &op.wide_ring) {
+    op.result.collected = network_->simulator().now();
+    broadcast(op);
+  } else if (--op.local_pending == 0) {
+    start_wide_phase(op);
+  }
+}
+
 void CollectiveEngine::start_local_phase(Op& op) {
   // NVLink-local ring all-reduce inside every server group.
-  op.local_runs.clear();
-  op.local_runs.reserve(op.plan.local_groups.size());
-  for (const auto& group : op.plan.local_groups) {
-    if (group.size() <= 1) continue;
-    RingRun run;
-    run.chunk = op.plan.bytes / static_cast<double>(group.size());
-    run.steps_left = 2 * (group.size() - 1);
-    run.paths.reserve(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      run.paths.push_back(topo::direct_nvlink_path(
-          network_->graph(), group[i], group[(i + 1) % group.size()]));
-    }
-    op.local_runs.push_back(std::move(run));
+  if (op.plan.local_rings.size() != op.plan.local_groups.size()) {
+    throw std::invalid_argument("all_reduce: local_rings size mismatch");
+  }
+  op.local_runs.reserve(op.plan.local_rings.size());
+  for (const std::vector<topo::Path>& ring : op.plan.local_rings) {
+    if (ring.empty()) continue;  // one-GPU group
+    op.local_runs.push_back(
+        {&ring, op.plan.bytes / static_cast<double>(ring.size()),
+         2 * (ring.size() - 1), 0});
   }
   if (op.local_runs.empty()) {
     start_wide_phase(op);
     return;
   }
   op.local_pending = op.local_runs.size();
-  for (RingRun& run : op.local_runs) {
-    start_ring_pass(*this, *network_, run, [this, id = op.id] {
-      auto it = ops_.find(id);
-      if (it == ops_.end()) return;
-      if (--it->second->local_pending == 0) start_wide_phase(*it->second);
-    });
-  }
+  for (RingRun& run : op.local_runs) ring_pass(op, run);
 }
 
 void CollectiveEngine::start_wide_phase(Op& op) {
   op.result.wide_start = network_->simulator().now();
   if (op.plan.wide_members.size() <= 1) {
     op.result.collected = op.result.wide_start;
-    start_broadcast_phase(op);
+    broadcast(op);
     return;
   }
   switch (op.plan.scheme) {
@@ -178,16 +191,10 @@ void CollectiveEngine::run_ring(Op& op) {
   if (op.plan.ring_paths.size() != op.plan.wide_members.size()) {
     throw std::invalid_argument("all_reduce: ring_paths size mismatch");
   }
-  op.wide_ring.paths = op.plan.ring_paths;
-  op.wide_ring.chunk =
-      op.plan.bytes / static_cast<double>(op.plan.wide_members.size());
-  op.wide_ring.steps_left = 2 * (op.plan.wide_members.size() - 1);
-  start_ring_pass(*this, *network_, op.wide_ring, [this, id = op.id] {
-    auto it = ops_.find(id);
-    if (it == ops_.end()) return;
-    it->second->result.collected = network_->simulator().now();
-    start_broadcast_phase(*it->second);
-  });
+  const std::size_t n = op.plan.wide_members.size();
+  op.wide_ring = {&op.plan.ring_paths,
+                  op.plan.bytes / static_cast<double>(n), 2 * (n - 1), 0};
+  ring_pass(op, op.wide_ring);
 }
 
 void CollectiveEngine::run_ina(Op& op) {
@@ -199,60 +206,14 @@ void CollectiveEngine::run_ina(Op& op) {
   sw::SwitchAgent& agent = switches_->agent(op.plan.switch_node);
   const bool sync = op.plan.scheme == Scheme::kInaSync;
   const sw::Admission admission = agent.reserve(
-      op.id, op.plan.slots, /*queue_if_full=*/sync, [this, id = op.id] {
-        auto it = ops_.find(id);
-        if (it == ops_.end()) return;
-        it->second->holds_slots = true;
-        ina_collect(*it->second);
+      op.id, op.plan.slots, /*queue_if_full=*/sync, [this, &op] {
+        op.holds_slots = true;
+        send(op, op.plan.up_paths, op.plan.wide_scale,
+             &CollectiveEngine::aggregate);
       });
   if (admission == sw::Admission::kRejected) {
     // ATP best-effort: aggregate at the end-host parameter server instead.
     run_fallback(op);
-  }
-}
-
-void CollectiveEngine::ina_collect(Op& op) {
-  op.flows_pending = op.plan.up_paths.size();
-  for (std::size_t i = 0; i < op.plan.up_paths.size(); ++i) {
-    const topo::Path& path = op.plan.up_paths[i];
-    const double scale =
-        op.plan.wide_scale.empty() ? 1.0 : op.plan.wide_scale[i];
-    network_->start_transfer(
-        path, op.plan.bytes * scale,
-        net::TransferOptions{[this, id = op.id](net::TransferId) {
-          auto it = ops_.find(id);
-          if (it == ops_.end()) return;
-          Op& o = *it->second;
-          if (--o.flows_pending != 0) return;
-          o.result.collected = network_->simulator().now();
-          // Constant in-switch aggregation latency, then distribution.
-          network_->simulator().schedule_in(
-              config_.cost.agg_latency, [this, id] {
-                auto it2 = ops_.find(id);
-                if (it2 == ops_.end()) return;
-                Op& o2 = *it2->second;
-                o2.flows_pending = o2.plan.down_paths.size();
-                for (std::size_t di = 0; di < o2.plan.down_paths.size();
-                     ++di) {
-                  const topo::Path& down = o2.plan.down_paths[di];
-                  const double dscale = o2.plan.wide_scale.empty()
-                                            ? 1.0
-                                            : o2.plan.wide_scale[di];
-                  network_->start_transfer(
-                      down, o2.plan.bytes * dscale,
-                      net::TransferOptions{[this, id](net::TransferId) {
-                        auto it3 = ops_.find(id);
-                        if (it3 == ops_.end()) return;
-                        Op& o3 = *it3->second;
-                        if (--o3.flows_pending != 0) return;
-                        switches_->agent(o3.plan.switch_node)
-                            .release(o3.id);
-                        o3.holds_slots = false;
-                        start_broadcast_phase(o3);
-                      }});
-                }
-              });
-        }});
   }
 }
 
@@ -284,75 +245,42 @@ void CollectiveEngine::run_fallback(Op& op) {
   if (obs::MetricsRegistry* m = sim.metrics()) {
     m->counter("coll.fallbacks").add();
   }
-  op.flows_pending = op.plan.fallback_up.size();
-  for (std::size_t i = 0; i < op.plan.fallback_up.size(); ++i) {
-    const topo::Path& path = op.plan.fallback_up[i];
-    const double scale =
-        op.plan.wide_scale.empty() ? 1.0 : op.plan.wide_scale[i];
-    network_->start_transfer(
-        path, op.plan.bytes * scale,
-        net::TransferOptions{[this, id = op.id](net::TransferId) {
-          auto it = ops_.find(id);
-          if (it == ops_.end()) return;
-          Op& o = *it->second;
-          if (--o.flows_pending != 0) return;
-          o.result.collected = network_->simulator().now();
-          // Host-side reduction of P payloads through memory bandwidth.
-          const Time host_time =
-              static_cast<double>(o.plan.wide_members.size()) * o.plan.bytes /
-              config_.cost.host_agg_bw;
-          network_->simulator().schedule_in(host_time, [this, id] {
-            auto it2 = ops_.find(id);
-            if (it2 == ops_.end()) return;
-            Op& o2 = *it2->second;
-            o2.flows_pending = o2.plan.fallback_down.size();
-            for (std::size_t di = 0; di < o2.plan.fallback_down.size();
-                 ++di) {
-              const topo::Path& down = o2.plan.fallback_down[di];
-              const double dscale = o2.plan.wide_scale.empty()
-                                        ? 1.0
-                                        : o2.plan.wide_scale[di];
-              network_->start_transfer(
-                  down, o2.plan.bytes * dscale,
-                  net::TransferOptions{[this, id](net::TransferId) {
-                    auto it3 = ops_.find(id);
-                    if (it3 == ops_.end()) return;
-                    Op& o3 = *it3->second;
-                    if (--o3.flows_pending != 0) return;
-                    start_broadcast_phase(o3);
-                  }});
-            }
-          });
-        }});
-  }
+  send(op, op.plan.fallback_up, op.plan.wide_scale,
+       &CollectiveEngine::aggregate);
 }
 
-void CollectiveEngine::start_broadcast_phase(Op& op) {
-  if (op.plan.local_groups.empty()) {
+void CollectiveEngine::aggregate(Op& op) {
+  // Every contribution is at the aggregation point: the switch (constant
+  // in-switch latency) or the host PS (P payloads reduced through memory
+  // bandwidth). The reduced payload then scatters back.
+  sim::Simulator& sim = network_->simulator();
+  op.result.collected = sim.now();
+  const Time delay =
+      op.result.used_fallback
+          ? static_cast<double>(op.plan.wide_members.size()) * op.plan.bytes /
+                config_.cost.host_agg_bw
+          : config_.cost.agg_latency;
+  sim.schedule_in(delay, [this, &op] {
+    send(op,
+         op.result.used_fallback ? op.plan.fallback_down : op.plan.down_paths,
+         op.plan.wide_scale, &CollectiveEngine::scattered);
+  });
+}
+
+void CollectiveEngine::scattered(Op& op) {
+  if (op.holds_slots) {
+    switches_->agent(op.plan.switch_node).release(op.id);
+    op.holds_slots = false;
+  }
+  broadcast(op);
+}
+
+void CollectiveEngine::broadcast(Op& op) {
+  if (op.plan.broadcast_paths.empty()) {
     finish(op);
     return;
   }
-  std::size_t transfers = 0;
-  for (const auto& group : op.plan.local_groups) {
-    if (group.size() > 1) transfers += group.size() - 1;
-  }
-  if (transfers == 0) {
-    finish(op);
-    return;
-  }
-  op.flows_pending = transfers;
-  for (const auto& group : op.plan.local_groups) {
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      network_->start_transfer(
-          topo::direct_nvlink_path(network_->graph(), group[0], group[i]),
-          op.plan.bytes,
-          net::TransferOptions{[this, id = op.id](net::TransferId) {
-            auto it = ops_.find(id);
-            if (it == ops_.end()) return;
-            if (--it->second->flows_pending == 0) finish(*it->second);
-          }});
-    }
-  }
+  send(op, op.plan.broadcast_paths, {}, &CollectiveEngine::finish);
 }
 
 void CollectiveEngine::finish(Op& op) {
@@ -367,19 +295,13 @@ void CollectiveEngine::finish(Op& op) {
                                          : true,
                  "op {} recorded fallback under scheme {}", op.id,
                  to_string(op.plan.scheme));
+  HERO_INVARIANT(!op.holds_slots, "op {} finished holding slots", op.id);
   op.result.end = network_->simulator().now();
   ++ops_completed;
-  if (op.holds_slots) {
-    switches_->agent(op.plan.switch_node).release(op.id);
-    op.holds_slots = false;
-  }
   Done done = std::move(op.done);
   const AllReduceResult result = op.result;
   const std::uint64_t id = op.id;
-  // Rebuild the begin event's name: legacy async matching is by
-  // (category, name, id).
-  std::string name = to_string(op.plan.scheme);
-  if (!op.plan.flat()) name = "hier-" + name;
+  std::string name = span_name(op.plan);
   ops_.erase(op.id);
   sim::Simulator& sim = network_->simulator();
   if (obs::EventTracer* tr = sim.tracer()) {
@@ -481,6 +403,19 @@ AllReducePlan make_hierarchical_plan(const topo::Graph& g,
     plan = make_ina_plan(all_members, bytes, agg_switch, wide_scheme, route,
                          fallback, slots);
     plan.wide_scale = std::move(scale);
+  }
+  plan.local_rings.resize(groups.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const std::vector<topo::NodeId>& group = groups[gi];
+    if (group.size() <= 1) continue;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      plan.local_rings[gi].push_back(topo::direct_nvlink_path(
+          g, group[i], group[(i + 1) % group.size()]));
+    }
+    for (std::size_t i = 1; i < group.size(); ++i) {
+      plan.broadcast_paths.push_back(
+          topo::direct_nvlink_path(g, group[0], group[i]));
+    }
   }
   plan.local_groups = std::move(groups);
   return plan;

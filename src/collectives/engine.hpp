@@ -3,8 +3,11 @@
 // The engine executes fully *resolved* plans: the caller (offline planner
 // output or the online scheduler) has already decided the scheme (ring /
 // synchronous INA / asynchronous INA), the aggregation switch, and every
-// transmission path. The engine turns that decision into flows, enforces
-// switch slot admission, and reports phase timestamps.
+// transmission path, NVLink ones included. The engine turns that decision
+// into flows, enforces switch slot admission, and reports phase
+// timestamps. Every phase is one flow barrier: start one flow per path,
+// run the next phase when the last one lands (send(), or ring_pass() for
+// the 2(P-1) steps of a ring).
 //
 // Supported shapes:
 //  * flat ring all-reduce           (the NCCL baseline, Eq. 11 semantics)
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +48,13 @@ struct AllReducePlan {
   /// Hierarchical phase: same-server groups (leader at index 0). Empty for
   /// flat plans.
   std::vector<std::vector<topo::NodeId>> local_groups;
+  /// NVLink ring per local group: local_rings[g][i] routes
+  /// local_groups[g][i] -> local_groups[g][(i+1) % size]; empty for a
+  /// one-GPU group.
+  std::vector<std::vector<topo::Path>> local_rings;
+  /// NVLink broadcast of the result: leader -> member for every
+  /// non-leader, groups in order.
+  std::vector<topo::Path> broadcast_paths;
 
   /// Inter-server phase participants (every member when flat, the leaders
   /// when hierarchical).
@@ -111,6 +122,9 @@ class CollectiveEngine {
 
  private:
   struct Op;
+  struct RingRun;
+  /// The phase a barrier runs once its last flow lands.
+  using Phase = void (CollectiveEngine::*)(Op&);
 
   net::FlowNetwork* network_;
   sw::SwitchRegistry* switches_;
@@ -118,14 +132,25 @@ class CollectiveEngine {
   std::uint64_t next_op_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Op>> ops_;
 
+  /// The flow barrier: one flow per path carrying `bytes * scale[i]` (or
+  /// `bytes` when `scale` is empty); `then` runs after the last one lands.
+  void send(Op& op, const std::vector<topo::Path>& paths,
+            std::span<const double> scale, Phase then);
+  /// The remaining steps of a ring pass, one barrier per step.
+  void ring_pass(Op& op, RingRun& run);
+  void ring_passed(Op& op, const RingRun& run);
+
   void start_local_phase(Op& op);
   void start_wide_phase(Op& op);
   void run_ring(Op& op);
-  void ring_step(Op& op);
   void run_ina(Op& op);
-  void ina_collect(Op& op);
   void run_fallback(Op& op);
-  void start_broadcast_phase(Op& op);
+  /// Switch or host-PS aggregation, then the scatter back.
+  void aggregate(Op& op);
+  /// INA releases its slots once the scatter has landed.
+  void scattered(Op& op);
+  /// NVLink broadcast from each leader (hierarchical plans).
+  void broadcast(Op& op);
   void finish(Op& op);
 };
 

@@ -1,7 +1,7 @@
 // Move-only callable with an inline capture buffer.
 //
 // The simulator's hot callbacks are small lambdas: a flow hop's
-// `[this, slot, id]` is 24 bytes, a ring step's completion 40. libstdc++'s
+// `[this, slot, id]` is 24 bytes, a ring step's completion 24. libstdc++'s
 // std::function keeps only 16 bytes in place (it must stay copyable, so it
 // clones its target), which made nearly every simulator event and every
 // flow completion a malloc/free pair. InlineFunction constructs any

@@ -15,8 +15,7 @@ Bandwidth Policy::bottleneck_capacity(const topo::Graph& g) const {
   return edges.empty() ? 0.0 : min_bw;
 }
 
-std::vector<topo::EdgeId> plan_edges(const coll::AllReducePlan& plan,
-                                     const topo::Graph& g) {
+std::vector<topo::EdgeId> plan_edges(const coll::AllReducePlan& plan) {
   // Sorted + deduplicated: the edge order feeds floating-point
   // accumulations in update_penalties(), so it must not depend on hash
   // order (summation is not associative).
@@ -27,11 +26,7 @@ std::vector<topo::EdgeId> plan_edges(const coll::AllReducePlan& plan,
   for (const topo::Path& p : plan.ring_paths) add_path(p);
   for (const topo::Path& p : plan.up_paths) add_path(p);
   for (const topo::Path& p : plan.down_paths) add_path(p);
-  for (const auto& group : plan.local_groups) {
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      add_path(topo::direct_nvlink_path(g, group[0], group[i]));
-    }
-  }
+  for (const topo::Path& p : plan.broadcast_paths) add_path(p);
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return edges;

@@ -58,9 +58,10 @@ struct Policy {
   [[nodiscard]] Bandwidth bottleneck_capacity(const topo::Graph& g) const;
 };
 
-/// Collect the deduplicated edge set of a resolved plan.
+/// Collect the deduplicated edge set of a resolved plan: its wide paths
+/// and NVLink broadcast paths (not its local ring paths).
 [[nodiscard]] std::vector<topo::EdgeId> plan_edges(
-    const coll::AllReducePlan& plan, const topo::Graph& g);
+    const coll::AllReducePlan& plan);
 
 class PolicyTable {
  public:

@@ -62,7 +62,7 @@ std::vector<Policy> build_policies(const topo::Routes& routes,
   auto add = [&](std::string name, coll::AllReducePlan plan) {
     Policy p;
     p.name = std::move(name);
-    p.edges = plan_edges(plan, graph);
+    p.edges = plan_edges(plan);
     p.plan = std::move(plan);
     policies.push_back(std::move(p));
   };

@@ -314,7 +314,7 @@ void ClusterSim::on_arrival(wl::Request request) {
     }
     const std::size_t decided = prefix_stats_.hits + prefix_stats_.recomputes;
     if (m && decided > 0) {
-      m->gauge("kv.hit_rate")
+      own_gauge(*m, "kv.hit_rate")
           .set(now, static_cast<double>(prefix_stats_.hits) /
                         static_cast<double>(decided));
     }
@@ -324,7 +324,7 @@ void ClusterSim::on_arrival(wl::Request request) {
   ++submitted_;
   if (obs::MetricsRegistry* m = simulator().metrics()) {
     m->counter("serve.arrivals").add(1);
-    m->gauge("serve.prefill_queue")
+    own_gauge(*m, "serve.prefill_queue")
         .set(now, static_cast<double>(prefill_queue_.size()));
   }
   try_start_prefill();
@@ -364,7 +364,7 @@ void ClusterSim::try_start_prefill() {
   }
   if (obs::MetricsRegistry* m = simulator().metrics()) {
     m->counter("serve.prefill_batches").add(1);
-    m->gauge("serve.prefill_queue")
+    own_gauge(*m, "serve.prefill_queue")
         .set(now, static_cast<double>(prefill_queue_.size()));
   }
   // The stage chain and the layer-streamed KV move (kv_move.hpp), which
@@ -487,7 +487,8 @@ void ClusterSim::try_admit_decode() {
   if (obs::MetricsRegistry* m = simulator().metrics()) {
     own_gauge(*m, "serve.decode_wait")
         .set(now, static_cast<double>(decode_wait_queue_.size()));
-    m->gauge("serve.decoding").set(now, static_cast<double>(decoding_.size()));
+    own_gauge(*m, "serve.decoding")
+        .set(now, static_cast<double>(decoding_.size()));
   }
   if (!decode_busy_ && !decoding_.empty()) start_decode_iteration();
 }

@@ -2,10 +2,14 @@
 // ring, INA (sync/async with fallback), and hierarchical all-reduce.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 
 #include "collectives/engine.hpp"
 #include "netsim/flownet.hpp"
+#include "obs/metrics.hpp"
 #include "topology/builders.hpp"
 
 namespace hero::coll {
@@ -355,6 +359,230 @@ TEST(Engine, OpsCompletedCounter) {
   }
   f.simulator.run();
   EXPECT_EQ(f.engine->ops_completed, 3u);
+}
+
+// --- engine: exact schedules ---
+//
+// Every phase stamp bit for bit, plus the simulator's event counts and the
+// flows started, for each plan shape the engine runs. The EXPECT_NEAR tests
+// above cannot see two flows start in the other order or a zero-delay
+// event go missing; these can. The hex floats were recorded from the
+// engine that wrote each phase barrier out by hand.
+
+struct ExactOp {
+  double start, wide_start, collected, end;
+  bool used_fallback;
+};
+
+struct ExactRun {
+  std::vector<ExactOp> ops;
+  std::uint64_t scheduled, executed, flows;
+};
+
+std::string describe(const ExactRun& run) {
+  std::ostringstream os;
+  os << std::hexfloat << "{{";
+  for (const ExactOp& op : run.ops) {
+    os << "{" << op.start << ", " << op.wide_start << ", " << op.collected
+       << ", " << op.end << ", " << (op.used_fallback ? "true" : "false")
+       << "}, ";
+  }
+  os << "}, " << std::dec << run.scheduled << ", " << run.executed << ", "
+     << run.flows << "}";
+  return os.str();
+}
+
+/// Runs `plans` concurrently from t = 0 on a fresh fixture and compares
+/// the outcome with `want` exactly.
+void expect_exact(Fixture& f, std::vector<AllReducePlan> plans,
+                  const ExactRun& want) {
+  obs::MetricsRegistry metrics;
+  f.simulator.attach(obs::Sink(nullptr, &metrics));
+  ExactRun got{std::vector<ExactOp>(plans.size()), 0, 0, 0};
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    f.engine->all_reduce(std::move(plans[i]),
+                         [&got, i](const AllReduceResult& r) {
+                           got.ops[i] = {raw(r.start), raw(r.wide_start),
+                                         raw(r.collected), raw(r.end),
+                                         r.used_fallback};
+                         });
+  }
+  f.simulator.run();
+  f.simulator.attach(obs::Sink());
+  got.scheduled = f.simulator.scheduled_events();
+  got.executed = f.simulator.executed_events();
+  got.flows = metrics.counter("net.transfers").value();
+  EXPECT_EQ(f.engine->ops_completed, plans.size());
+
+  SCOPED_TRACE("got " + describe(got));
+  ASSERT_EQ(got.ops.size(), want.ops.size());
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t i = 0; i < want.ops.size(); ++i) {
+    EXPECT_EQ(bits(got.ops[i].start), bits(want.ops[i].start)) << "op " << i;
+    EXPECT_EQ(bits(got.ops[i].wide_start), bits(want.ops[i].wide_start))
+        << "op " << i;
+    EXPECT_EQ(bits(got.ops[i].collected), bits(want.ops[i].collected))
+        << "op " << i;
+    EXPECT_EQ(bits(got.ops[i].end), bits(want.ops[i].end)) << "op " << i;
+    EXPECT_EQ(got.ops[i].used_fallback, want.ops[i].used_fallback)
+        << "op " << i;
+  }
+  EXPECT_EQ(got.scheduled, want.scheduled);
+  EXPECT_EQ(got.executed, want.executed);
+  EXPECT_EQ(got.flows, want.flows);
+}
+
+/// The testbed's GPUs of servers `servers`, `per_server` from each.
+std::vector<NodeId> testbed_members(const topo::Graph& g,
+                                    std::initializer_list<int> servers,
+                                    std::size_t per_server = 4) {
+  const auto by_server = g.gpus_by_server();
+  std::vector<NodeId> members;
+  for (int s : servers) {
+    const auto& gpus = by_server[static_cast<std::size_t>(s)];
+    members.insert(members.end(), gpus.begin(),
+                   gpus.begin() + static_cast<std::ptrdiff_t>(per_server));
+  }
+  return members;
+}
+
+TEST(EngineExact, FlatRing) {
+  Fixture f(star_graph(4));
+  std::vector<AllReducePlan> plans;
+  plans.push_back(
+      make_ring_plan(f.graph.gpus(), 4.0 * units::MB, f.router()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x0p+0, 0x1.f75104d551d69p-11,
+                  0x1.f75104d551d69p-11, false}},
+                96, 96, 24});
+}
+
+TEST(EngineExact, FlatInaSync) {
+  Fixture f(star_graph(3));
+  std::vector<AllReducePlan> plans;
+  plans.push_back(make_ina_plan(f.graph.gpus(), 1.0 * units::MB,
+                                f.graph.find("sw"), Scheme::kInaSync,
+                                f.router()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14,
+                  0x1.51a437824d4ccp-13, false}},
+                14, 14, 6});
+}
+
+TEST(EngineExact, FlatInaAsyncFallsBackToHost) {
+  // 40 slots, jobs of 32: the second reservation is rejected.
+  Fixture f(star_graph(4, /*with_ps=*/true, /*agg_slots=*/40));
+  const auto gpus = f.graph.gpus();
+  std::vector<AllReducePlan> plans;
+  for (std::size_t first : {0u, 2u}) {
+    plans.push_back(make_ina_plan({gpus[first], gpus[first + 1]},
+                                  1.0 * units::MB, f.graph.find("sw"),
+                                  Scheme::kInaAsync, f.router(),
+                                  f.graph.find("ps"), /*slots=*/32));
+  }
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14,
+                  0x1.51a437824d4ccp-13, false},
+                 {0x0p+0, 0x0p+0, 0x1.f75104d551d6ap-13,
+                  0x1.10a137f38c544p-11, true}},
+                31, 27, 8});
+}
+
+TEST(EngineExact, HierarchicalRing) {
+  Fixture f(topo::make_testbed());
+  std::vector<AllReducePlan> plans;
+  plans.push_back(make_hierarchical_plan(
+      f.graph, testbed_members(f.graph, {0, 1}), 16.0 * units::MB,
+      Scheme::kRing, f.router()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x1.68b5cbff47736p-15, 0x1.55b4677b395c5p-9,
+                  0x1.5943f75efff91p-9, false}},
+                124, 124, 58});
+}
+
+TEST(EngineExact, HierarchicalShardedIna) {
+  Fixture f(topo::make_testbed());
+  const auto members = testbed_members(f.graph, {0, 1});
+  const auto ranked = rank_aggregation_switches(f.hetero_routes, members, 1);
+  std::vector<AllReducePlan> plans;
+  plans.push_back(make_hierarchical_plan(f.graph, members, 8.0 * units::MB,
+                                         Scheme::kInaSync, f.router(),
+                                         ranked.front()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x1.81e03f705857bp-16, 0x1.083dbc23315d7p-11,
+                  0x1.071aee09a50c1p-10, false}},
+                182, 158, 70});
+}
+
+TEST(EngineExact, HierarchicalAsyncInaFallsBackToHost) {
+  // Both jobs ask for the whole pool of sw0: the second falls back to the
+  // PS host, with the local groups on both sides of its wide phase.
+  Fixture f(topo::make_testbed());
+  const NodeId sw0 = f.graph.find("sw0");
+  const auto slots =
+      static_cast<std::uint32_t>(f.graph.node(sw0).agg_slots);
+  std::vector<AllReducePlan> plans;
+  for (int first : {0, 2}) {
+    plans.push_back(make_hierarchical_plan(
+        f.graph, testbed_members(f.graph, {first, first + 1}),
+        8.0 * units::MB, Scheme::kInaAsync, f.router(), sw0,
+        f.graph.find("ps"), slots));
+  }
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x1.81e03f705857bp-16, 0x1.083dbc23315d7p-11,
+                  0x1.071aee09a50c1p-10, false},
+                 {0x0p+0, 0x1.81e03f705857bp-16, 0x1.b089a02752547p-11,
+                  0x1.7ed6e749976a7p-9, true}},
+                403, 331, 140});
+}
+
+TEST(EngineExact, SingleMember) {
+  // Flat and hierarchical plans of one GPU finish inside all_reduce: no
+  // event, no flow.
+  Fixture f(topo::make_testbed());
+  const auto member = testbed_members(f.graph, {0}, 1);
+  std::vector<AllReducePlan> plans;
+  plans.push_back(make_ring_plan(member, 1.0 * units::MB, f.router()));
+  plans.push_back(make_hierarchical_plan(f.graph, member, 1.0 * units::MB,
+                                         Scheme::kRing, f.router()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x0p+0, 0x0p+0,
+                  0x0p+0, false},
+                 {0x0p+0, 0x0p+0, 0x0p+0,
+                  0x0p+0, false}},
+                0, 0, 0});
+}
+
+TEST(EngineExact, OneGpuGroupsSkipTheLocalPhases) {
+  // One GPU per server, then a 4-GPU group beside a one-GPU group.
+  Fixture f(topo::make_testbed());
+  std::vector<AllReducePlan> plans;
+  plans.push_back(make_hierarchical_plan(
+      f.graph, testbed_members(f.graph, {0, 1}, 1), 4.0 * units::MB,
+      Scheme::kRing, f.router()));
+  auto mixed = testbed_members(f.graph, {2});
+  mixed.push_back(testbed_members(f.graph, {3}, 1).front());
+  plans.push_back(make_hierarchical_plan(f.graph, mixed, 4.0 * units::MB,
+                                         Scheme::kRing, f.router()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x0p+0, 0x1.51a437824d4ccp-11,
+                  0x1.51a437824d4ccp-11, false},
+                 {0x0p+0, 0x1.b43526527a207p-17, 0x1.58750c1b97354p-11,
+                  0x1.5c36f0e63ff3cp-11, false}},
+                86, 86, 35});
+}
+
+TEST(EngineExact, ZeroBytesHierarchicalRing) {
+  // Every ring degenerates and every broadcast flow is empty.
+  Fixture f(topo::make_testbed());
+  std::vector<AllReducePlan> plans;
+  plans.push_back(make_hierarchical_plan(
+      f.graph, testbed_members(f.graph, {0, 1}), 0.0, Scheme::kRing,
+      f.router()));
+  expect_exact(f, std::move(plans),
+               {{{0x0p+0, 0x0p+0, 0x0p+0,
+                  0x0p+0, false}},
+                9, 9, 0});
 }
 
 // --- plan builders ---

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/heroserve.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hero {
@@ -318,6 +319,42 @@ TEST_F(RouterTieBreak, AffinityRoutesFollowUpToTheHolder) {
   EXPECT_EQ(fleet->router().dispatched()[1], 1u);
   EXPECT_EQ(fleet->instance(1).prefix_stats().hits, 1u);
   EXPECT_EQ(fleet->instance(1).prefix_stats().reused_tokens, 1920u);
+}
+
+TEST_F(RouterTieBreak, QueueAndKvGaugesArePerInstance) {
+  // Each instance writes its own i<id>. gauges; a gauge both instances
+  // shared would mix their queues in one average and peak.
+  obs::MetricsRegistry metrics;
+  simulator_->attach(obs::Sink(nullptr, &metrics));
+  const auto fleet = make_fleet(serve::RouterPolicy::kHeroServe,
+                                std::nullopt, /*prefix_block_tokens=*/128);
+  fleet->instance(0).begin();
+  fleet->instance(1).begin();
+  fleet->instance(1).adopt_prefix(7, 1920);
+  wl::Request hit = request();
+  hit.session_id = 7;
+  hit.input_tokens = 2048;
+  hit.prefix_tokens = 1920;
+  fleet->dispatch(hit);
+  wl::Request other = request();
+  other.id = 1;
+  fleet->dispatch(other);
+  simulator_->run();
+  for (const char* name : {"serve.prefill_queue", "serve.decoding",
+                           "serve.kv_utilization", "serve.decode_wait"}) {
+    for (const char* instance : {"i0.", "i1."}) {
+      EXPECT_NE(metrics.find_gauge(std::string(instance) + name), nullptr)
+          << instance << name;
+    }
+  }
+  const obs::Gauge* hit_rate = metrics.find_gauge("i1.kv.hit_rate");
+  ASSERT_NE(hit_rate, nullptr);
+  EXPECT_DOUBLE_EQ(hit_rate->current(), 1.0);
+  for (const char* shared :
+       {"serve.prefill_queue", "serve.decoding", "kv.hit_rate"}) {
+    EXPECT_EQ(metrics.find_gauge(shared), nullptr) << shared;
+  }
+  simulator_->attach(obs::Sink());
 }
 
 TEST_F(RouterTieBreak, DrainedInstanceNeverStreamsAfterRelease) {
