@@ -32,7 +32,7 @@ topo::Graph cross_server_tp4() {
   topo::Graph g;
   const auto sw = g.add_switch("sw", topo::NodeKind::kAccessSwitch, 64);
   for (int i = 0; i < 4; ++i) {
-    const auto gpu = g.add_gpu("g" + std::to_string(i),
+    const auto gpu = g.add_gpu(strfmt("g{}", i),
                                topo::GpuModel::kL40_48, 48 * units::GB, i);
     g.add_edge(gpu, sw, topo::LinkKind::kEthernet, 100 * units::Gbps);
   }

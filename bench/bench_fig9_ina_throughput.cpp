@@ -150,9 +150,9 @@ int main(int argc, char** argv) {
     if (kind == SystemKind::kHeroServe) hero_mean = mean;
     row.push_back(kind == SystemKind::kHeroServe
                       ? "-"
-                      : "+" + fmt_double(100.0 * (hero_mean / mean - 1.0),
-                                         1) +
-                            "% for Hero");
+                      : strfmt("+{}% for Hero",
+                               fmt_double(100.0 * (hero_mean / mean - 1.0),
+                                          1)));
     table.add_row(row);
   }
   table.print();

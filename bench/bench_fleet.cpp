@@ -79,8 +79,7 @@ Cell run_cell(std::size_t instances, serve::RouterPolicy policy) {
 std::map<std::string, Cell> g_cells;
 
 std::string cell_key(std::size_t instances, serve::RouterPolicy policy) {
-  return "n" + std::to_string(instances) + "/" +
-         serve::to_string(policy);
+  return strfmt("n{}/{}", instances, serve::to_string(policy));
 }
 
 void Fleet_Cell(benchmark::State& state, std::size_t instances,

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/format.hpp"
 #include "common/table.hpp"
 #include "core/heroserve.hpp"
 #include "obs/metrics.hpp"
@@ -74,7 +75,7 @@ int run_fleet(const hero::cli::Options& opts, hero::ExperimentConfig cfg,
     const planner::PlanResult& p = r.plan.instances[i];
     const serve::ServingReport& rep = r.report.per_instance[i];
     table.add_row(
-        {"i" + std::to_string(i),
+        {strfmt("i{}", i),
          std::to_string(p.prefill.parallel.p_tens) + "x" +
              std::to_string(p.prefill.parallel.p_pipe) + " | " +
              std::to_string(p.decode.parallel.p_tens) + "x" +

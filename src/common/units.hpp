@@ -40,6 +40,18 @@
 
 namespace hero {
 
+/// `a == b` with no tolerance, for the comparisons that mean it: a heap
+/// key tie, a rate that must reproduce bit for bit, an integrality test.
+/// It is the one exact floating-point compare in the project; every other
+/// `==`/`!=` on a double is a build error (-Werror=float-equal).
+template <typename T>
+[[nodiscard]] constexpr bool exactly_equal(T a, T b) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
+  return a == b;
+#pragma GCC diagnostic pop
+}
+
 #if defined(HERO_STRONG_UNITS)
 
 /// One double tagged with base-dimension exponents. `TimeD` counts seconds,
@@ -94,10 +106,10 @@ class Quantity {
     return a.v_ >= b.v_;
   }
   friend constexpr bool operator==(Quantity a, Quantity b) {
-    return a.v_ == b.v_;
+    return exactly_equal(a.v_, b.v_);
   }
   friend constexpr bool operator!=(Quantity a, Quantity b) {
-    return a.v_ != b.v_;
+    return !exactly_equal(a.v_, b.v_);
   }
 
   friend std::ostream& operator<<(std::ostream& os, Quantity a) {

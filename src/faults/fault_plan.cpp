@@ -158,7 +158,8 @@ class PlanParser {
         // Range-check before the cast: converting a negative or huge
         // double to an integer is undefined behaviour.
         const double n = parse_number();
-        if (!(n >= 1.0 && n <= kMaxFlapCount) || n != std::floor(n)) {
+        if (!(n >= 1.0 && n <= kMaxFlapCount) ||
+            !exactly_equal(n, std::floor(n))) {
           fail(strfmt("count {} is not a whole number in [1, {}]", n,
                       kMaxFlapCount));
         }
@@ -224,7 +225,7 @@ void validate(const FaultEvent& ev) {
     case FaultKind::kSlotExhaust:
       if (!(ev.magnitude >= 1.0 &&
             ev.magnitude <= std::numeric_limits<std::uint32_t>::max()) ||
-          ev.magnitude != std::floor(ev.magnitude)) {
+          !exactly_equal(ev.magnitude, std::floor(ev.magnitude))) {
         reject(ev, strfmt("{} is not a whole slot count >= 1",
                           ev.magnitude));
       }

@@ -122,7 +122,7 @@ class EventQueue {
   }
 
   static bool before(const Entry& a, const Entry& b) {
-    if (a.at != b.at) return a.at < b.at;
+    if (!exactly_equal(a.at, b.at)) return a.at < b.at;
     return a.seq < b.seq;
   }
 

@@ -438,7 +438,7 @@ void FlowNetwork::reallocate_dirty() {
   for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
     Transfer& t = pool_[comp_flows_[i]];
     const Bandwidth new_rate = solved_rates_[i];
-    if (new_rate == t.rate) continue;
+    if (exactly_equal(new_rate, t.rate)) continue;
     progress_transfer(t, now);
     t.rate = new_rate;
     reschedule_completion(comp_flows_[i]);
@@ -466,7 +466,7 @@ void FlowNetwork::refresh_link(std::size_t index, Time now,
   }
   const bool force = link_force_refresh_[index] != 0;
   link_force_refresh_[index] = 0;
-  if (!force && rate == link_rate_[index]) return;
+  if (!force && exactly_equal(rate, link_rate_[index])) return;
   link_rate_[index] = rate;
 
   const DirectedLink link{static_cast<topo::EdgeId>(index / 2),
@@ -508,7 +508,7 @@ void FlowNetwork::validate_against_full_solve() {
   solve_component(validate_flows_, validate_links_, validate_rates_);
   for (std::size_t i = 0; i < validate_flows_.size(); ++i) {
     const Transfer& t = pool_[validate_flows_[i]];
-    if (validate_rates_[i] != t.rate) {
+    if (!exactly_equal(validate_rates_[i], t.rate)) {
       ++stats_.mismatches;
       HERO_INVARIANT(false,
                      "incremental max-min diverged: transfer {} rate {} B/s "

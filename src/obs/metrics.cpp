@@ -6,7 +6,7 @@ namespace hero::obs {
 
 void Gauge::set(Time now, double value) {
   tw_.observe(now, value);
-  if (timeline_.empty() || timeline_.back().value != value) {
+  if (timeline_.empty() || !exactly_equal(timeline_.back().value, value)) {
     timeline_.push_back(GaugePoint{now, value});
   }
 }

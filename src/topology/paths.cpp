@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <span>
@@ -85,7 +86,7 @@ Sssp dijkstra(const Graph& g, NodeId src, const PathOptions& opts,
 bool extract_path(const Sssp& r, NodeId src, NodeId dst, Path& out) {
   const std::uint8_t best_via =
       r.dist[dst][0] <= r.dist[dst][1] ? std::uint8_t{0} : std::uint8_t{1};
-  if (r.dist[dst][best_via] == std::numeric_limits<Time>::infinity()) {
+  if (std::isinf(raw(r.dist[dst][best_via]))) {
     return false;
   }
   out.nodes.clear();

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "collectives/engine.hpp"
+#include "common/format.hpp"
 #include "netsim/flownet.hpp"
 #include "obs/metrics.hpp"
 #include "topology/builders.hpp"
@@ -48,7 +49,7 @@ topo::Graph star_graph(int n, bool with_ps = false, int agg_slots = 64) {
   topo::Graph g;
   const NodeId sw = g.add_switch("sw", NodeKind::kAccessSwitch, agg_slots);
   for (int i = 0; i < n; ++i) {
-    const NodeId gpu = g.add_gpu("g" + std::to_string(i), GpuModel::kA100_40,
+    const NodeId gpu = g.add_gpu(strfmt("g{}", i), GpuModel::kA100_40,
                                  40 * units::GB, i);
     g.add_edge(gpu, sw, LinkKind::kEthernet, 100 * units::Gbps, 0.0);
   }

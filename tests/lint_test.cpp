@@ -70,6 +70,20 @@ double sum() {
   EXPECT_EQ(fs[0].line, 6);
 }
 
+TEST(LintTest, RangeForThroughPointerAndQualifiedDeclFires) {
+  const std::string src = R"cpp(
+#include <unordered_map>
+void sum(std::unordered_map<int, double>* m, double& s) {
+  for (auto& [k, v] : *m) s += v;
+  for (const std::pair<const int, double>& kv : (*m)) s += kv.second;
+}
+)cpp";
+  const auto fs = lint(src);
+  ASSERT_EQ(count_rule(fs, "unordered-iter"), 2);
+  EXPECT_EQ(fs[0].line, 4);
+  EXPECT_EQ(fs[1].line, 5);
+}
+
 TEST(LintTest, BeginEndOverUnorderedContainerFires) {
   const std::string src = R"cpp(
 #include <unordered_set>
@@ -141,19 +155,11 @@ std::mt19937 make_engine(unsigned seed) { return std::mt19937{seed}; }
   EXPECT_GE(count_rule(lint(src), "ambient-rng"), 1);
 }
 
-TEST(LintTest, FloatEqualityFires) {
-  const std::string src = R"cpp(
-bool done(double x) { return x == 1.0; }
-bool pending(double x) { return 0.5 != x; }
-)cpp";
-  EXPECT_EQ(count_rule(lint(src), "float-equal"), 2);
-}
-
 TEST(LintTest, EpsilonComparisonDoesNotFire) {
   const std::string src = R"cpp(
 bool near_one(double x) { return x >= 1.0 - 1e-9 && x <= 1.0 + 1e-9; }
 )cpp";
-  EXPECT_EQ(count_rule(lint(src), "float-equal"), 0);
+  EXPECT_TRUE(lint(src).empty());
 }
 
 TEST(LintTest, IostreamOnlyFlaggedInLibraryCode) {
@@ -175,6 +181,21 @@ struct Event {
 )cpp";
   const auto fs = lint(src);
   EXPECT_EQ(count_rule(fs, "uninit-member"), 2);
+}
+
+TEST(LintTest, UninitMemberListAndPointerFire) {
+  const std::string src = R"cpp(
+struct Span {
+  int a, b;
+  Node* from;
+  std::uint64_t bits = 0;
+  doubled;
+};
+)cpp";
+  const auto fs = lint(src);
+  ASSERT_EQ(count_rule(fs, "uninit-member"), 2);
+  EXPECT_NE(fs[0].message.find("'a, b'"), std::string::npos);
+  EXPECT_NE(fs[1].message.find("'from'"), std::string::npos);
 }
 
 TEST(LintTest, ClassAndEnumMembersAreNotFlagged) {
@@ -231,11 +252,11 @@ auto t = std::chrono::steady_clock::now();  // hero-lint: allow(ambient-rng)
 
 TEST(LintTest, AllowFileSuppressesRuleFileWide) {
   const std::string src = R"cpp(
-// hero-lint: allow-file(float-equal)
-bool a(double x) { return x == 1.0; }
-bool b(double x) { return x != 2.0; }
+// hero-lint: allow-file(raw-unit-literal)
+Bandwidth a = 12.5e9;
+Time b = 1e-6;
 )cpp";
-  EXPECT_EQ(count_rule(lint(src), "float-equal"), 0);
+  EXPECT_EQ(count_rule(lint(src), "raw-unit-literal"), 0);
 }
 
 TEST(LintTest, ClassifyPathMatchesRepoConventions) {
@@ -254,7 +275,7 @@ TEST(LintTest, ClassifyPathMatchesRepoConventions) {
 
 TEST(LintTest, RuleIdsAreStableAndSorted) {
   const auto& ids = herolint::rule_ids();
-  EXPECT_EQ(ids.size(), 10u);
+  EXPECT_EQ(ids.size(), 9u);
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   for (const std::string& id : ids) {
     EXPECT_FALSE(herolint::rule_summary(id).empty()) << id;
@@ -312,7 +333,7 @@ TEST(LintTest, SuppressedFindingsLandInReport) {
   const std::string src = R"cpp(
 #include <chrono>
 auto t = std::chrono::steady_clock::now();  // hero-lint: allow(wall-clock)
-bool done(double x) { return x == 1.0; }
+Bandwidth bw = 12.5e9;
 )cpp";
   FileContext ctx;  // outside src/, so the wall-clock allow() applies
   const herolint::LintReport report =
@@ -320,18 +341,18 @@ bool done(double x) { return x == 1.0; }
   ASSERT_EQ(report.suppressed.size(), 1u);
   EXPECT_EQ(report.suppressed[0].rule, "wall-clock");
   ASSERT_EQ(report.findings.size(), 1u);
-  EXPECT_EQ(report.findings[0].rule, "float-equal");
+  EXPECT_EQ(report.findings[0].rule, "raw-unit-literal");
 }
 
 TEST(LintTest, SarifReportIsWellFormed) {
   const std::string src = R"cpp(
-bool done(double x) { return x == 1.0; }
+Bandwidth bw = 12.5e9;
 )cpp";
   const auto fs = lint(src);
   ASSERT_EQ(fs.size(), 1u);
   const std::string sarif = herolint::to_sarif(fs);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"float-equal\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleId\": \"raw-unit-literal\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 2"), std::string::npos);
   EXPECT_NE(sarif.find("fixture.cpp"), std::string::npos);
   // The driver rules table documents every rule id.
@@ -347,26 +368,26 @@ TEST(LintTest, SarifEmptyFindingsIsStillARun) {
 
 TEST(LintTest, JsonReportContainsFindings) {
   const std::string src = R"cpp(
-bool done(double x) { return x == 1.0; }
+Bandwidth bw = 12.5e9;
 )cpp";
   const auto fs = lint(src);
   ASSERT_EQ(fs.size(), 1u);
   const std::string json = herolint::to_json(fs);
   EXPECT_NE(json.find("\"fixture.cpp\""), std::string::npos);
-  EXPECT_NE(json.find("\"float-equal\""), std::string::npos);
+  EXPECT_NE(json.find("\"raw-unit-literal\""), std::string::npos);
   EXPECT_NE(json.find("\"line\": 2"), std::string::npos);
 }
 
 TEST(LintTest, FindingsSortedByLine) {
   const std::string src = R"cpp(
 #include <chrono>
-bool done(double x) { return x == 1.0; }
+Bandwidth bw = 12.5e9;
 auto t = std::chrono::steady_clock::now();
 )cpp";
   const auto fs = lint(src);
   ASSERT_EQ(fs.size(), 2u);
   EXPECT_LT(fs[0].line, fs[1].line);
-  EXPECT_EQ(fs[0].rule, "float-equal");
+  EXPECT_EQ(fs[0].rule, "raw-unit-literal");
   EXPECT_EQ(fs[1].rule, "wall-clock");
 }
 
@@ -477,10 +498,9 @@ TEST(SrcSuppressionTest, AllowFileCannotCoverAmbientRngUnderSrc) {
 TEST(SrcSuppressionTest, OtherRulesStaySuppressibleUnderSrc) {
   const herolint::LintReport report = analyze(
       {{"src/common/x.cpp",
-        "bool done(double x) { return x == 1.0; }  "
-        "// hero-lint: allow(float-equal)\n"}});
+        "Bandwidth bw = 12.5e9;  // hero-lint: allow(raw-unit-literal)\n"}});
   EXPECT_TRUE(report.findings.empty());
-  EXPECT_EQ(count_rule(report.suppressed, "float-equal"), 1);
+  EXPECT_EQ(count_rule(report.suppressed, "raw-unit-literal"), 1);
 }
 
 TEST(LayerTest, UndeclaredEdgeFires) {
@@ -603,6 +623,15 @@ TEST(IncludeCycleTest, MutualHeadersFireOnce) {
       [](const Finding& f) { return f.rule == "include-cycle"; });
   EXPECT_NE(it->message.find("src/common/a.hpp"), std::string::npos);
   EXPECT_NE(it->message.find("src/common/b.hpp"), std::string::npos);
+}
+
+TEST(IncludeCycleTest, SpacedDirectivesAreEdges) {
+  const herolint::LintReport report = analyze({
+      {"src/common/a.hpp", "#  include \"b.hpp\"\n"},
+      {"src/common/b.hpp", "\t#include\"a.hpp\"  // back edge\n"},
+      {"src/common/c.hpp", "// #include \"a.hpp\"\n#include <a.hpp>\n"},
+  });
+  EXPECT_EQ(count_rule(report.findings, "include-cycle"), 1);
 }
 
 TEST(IncludeCycleTest, AcyclicChainDoesNotFire) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "topology/builders.hpp"
 #include "topology/paths.hpp"
@@ -394,7 +395,7 @@ TEST_P(RandomGraphTest, MetricProperties) {
   std::vector<NodeId> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(
-        g.add_switch("s" + std::to_string(i), NodeKind::kAccessSwitch));
+        g.add_switch(strfmt("s{}", i), NodeKind::kAccessSwitch));
   }
   // Random connected graph: spanning chain + extra edges.
   for (std::size_t i = 1; i < n; ++i) {

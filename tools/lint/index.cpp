@@ -1,7 +1,6 @@
 #include "index.hpp"
 
 #include <filesystem>
-#include <regex>
 
 namespace herolint {
 namespace {
@@ -9,7 +8,6 @@ namespace {
 /// `#include "..."` targets with their lines, from the raw content (the
 /// masked view blanks string bodies, so this scans the original text).
 std::vector<IncludeDecl> extract_includes(const std::string& content) {
-  static const std::regex inc(R"(^\s*#\s*include\s*"([^"]+)\")");
   std::vector<IncludeDecl> out;
   int line = 1;
   std::size_t begin = 0;
@@ -17,9 +15,12 @@ std::vector<IncludeDecl> extract_includes(const std::string& content) {
     std::size_t end = content.find('\n', begin);
     if (end == std::string::npos) end = content.size();
     const std::string text = content.substr(begin, end - begin);
-    std::smatch m;
-    if (std::regex_search(text, m, inc)) {
-      out.push_back({m[1].str(), line});
+    const std::size_t open = include_operand(text);
+    if (open < text.size() && text[open] == '"') {
+      const std::size_t close = text.find('"', open + 1);
+      if (close != std::string::npos && close > open + 1) {
+        out.push_back({text.substr(open + 1, close - open - 1), line});
+      }
     }
     begin = end + 1;
     ++line;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <regex>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -20,9 +20,6 @@ const RuleDoc kRuleDocs[] = {
     {"ambient-rng",
      "ambient randomness outside common/rng; derive from a seeded "
      "hero::Rng (no allow() under src/)"},
-    {"float-equal",
-     "exact ==/!= against a floating-point literal; use an epsilon or "
-     "integer state"},
     {"include-cycle",
      "cycle in the quoted-include graph; break it with a forward "
      "declaration or a split header"},
@@ -53,44 +50,60 @@ const std::vector<std::string> kRuleIds = [] {
   return ids;
 }();
 
+/// Text of toks[k], or "" past the end.
+std::string_view text_at(std::span<const Token> toks, std::size_t k) {
+  return k < toks.size() ? std::string_view(toks[k].text)
+                         : std::string_view();
+}
+
+bool is_kind(std::span<const Token> toks, std::size_t k, Token::Kind kind) {
+  return k < toks.size() && toks[k].kind == kind;
+}
+
 void scan_unordered_iter(const MaskedSource& src,
+                         const std::vector<Token>& toks,
                          const std::string& path,
                          std::vector<Finding>& out) {
+  static const std::set<std::string, std::less<>> kIterators = {
+      "begin", "end", "cbegin", "cend", "rbegin", "rend", "crbegin", "crend"};
   const std::set<std::string> names = unordered_names(src);
   if (names.empty()) return;
-  static const std::regex range_for(
-      R"(for\s*\([^():]*:\s*\(?\s*\*?\s*([A-Za-z_]\w*)\s*\))");
-  static const std::regex begin_end(
-      R"(([A-Za-z_]\w*)\s*\.\s*c?(?:begin|end|rbegin|rend)\s*\()");
-  for (std::size_t i = 0; i < src.code.size(); ++i) {
-    const std::string& line = src.code[i];
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), range_for);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1];
-      if (names.contains(name)) {
-        out.push_back({path, static_cast<int>(i) + 1, "unordered-iter",
-                       "range-for over unordered container '" + name +
+  auto text = [&](std::size_t k) { return text_at(toks, k); };
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != Token::Kind::kIdent) continue;
+    // `for (decl : c)`, `for (decl : *c)`, `for (decl : (c))`: no
+    // parentheses in the declaration (`::` is one token, so the first
+    // lone ':' is the range colon).
+    if (toks[i].text == "for" && text(i + 1) == "(") {
+      std::size_t j = i + 2;
+      while (j < toks.size() && text(j) != "(" && text(j) != ")" &&
+             text(j) != ":") {
+        ++j;
+      }
+      if (text(j) != ":") continue;
+      ++j;
+      if (text(j) == "(") ++j;
+      if (text(j) == "*") ++j;
+      if (is_kind(toks, j, Token::Kind::kIdent) && text(j + 1) == ")" &&
+          names.contains(toks[j].text)) {
+        out.push_back({path, toks[i].line, "unordered-iter",
+                       "range-for over unordered container '" +
+                           toks[j].text +
                            "': iteration order depends on the stdlib hash; "
                            "use an ordered container or sorted keys"});
       }
+      continue;
     }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), begin_end);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1];
-      // `x == c.end()` / `x != c.end()` after find() is a membership
-      // test, not a traversal — skip sentinel comparisons.
-      std::size_t before = static_cast<std::size_t>(it->position(0));
-      while (before > 0 && line[before - 1] == ' ') --before;
-      if (before >= 2 && line[before - 1] == '=' &&
-          (line[before - 2] == '=' || line[before - 2] == '!')) {
-        continue;
-      }
-      if (names.contains(name)) {
-        out.push_back({path, static_cast<int>(i) + 1, "unordered-iter",
-                       "iterator over unordered container '" + name +
-                           "': traversal order depends on the stdlib hash; "
-                           "use an ordered container or sorted keys"});
-      }
+    // `c.begin(` and friends. `x == c.end()` / `x != c.end()` after
+    // find() is a membership test, not a traversal — skip sentinel
+    // comparisons.
+    if (names.contains(toks[i].text) && text(i + 1) == "." &&
+        kIterators.contains(text(i + 2)) && text(i + 3) == "(" &&
+        (i == 0 || (text(i - 1) != "==" && text(i - 1) != "!="))) {
+      out.push_back({path, toks[i].line, "unordered-iter",
+                     "iterator over unordered container '" + toks[i].text +
+                         "': traversal order depends on the stdlib hash; "
+                         "use an ordered container or sorted keys"});
     }
   }
 }
@@ -149,28 +162,13 @@ void scan_ambient_rng(const MaskedSource& src, const std::string& path,
   }
 }
 
-void scan_float_equal(const MaskedSource& src, const std::string& path,
-                      std::vector<Finding>& out) {
-  static const std::regex lit_rhs(
-      R"([=!]=\s*[-+]?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?[fF]?)");
-  static const std::regex lit_lhs(
-      R"((?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?[fF]?\s*[=!]=)");
-  for (std::size_t i = 0; i < src.code.size(); ++i) {
-    const std::string& line = src.code[i];
-    if (std::regex_search(line, lit_rhs) ||
-        std::regex_search(line, lit_lhs)) {
-      out.push_back({path, static_cast<int>(i) + 1, "float-equal",
-                     "exact ==/!= against a floating-point literal: "
-                     "compare with an epsilon or track integer state"});
-    }
-  }
-}
-
 void scan_iostream(const MaskedSource& src, const std::string& path,
                    std::vector<Finding>& out) {
-  static const std::regex inc(R"(^\s*#\s*include\s*<iostream>)");
   for (std::size_t i = 0; i < src.code.size(); ++i) {
-    if (std::regex_search(src.code[i], inc)) {
+    const std::string& line = src.code[i];
+    const std::size_t pos = include_operand(line);
+    if (pos != std::string::npos &&
+        line.compare(pos, 10, "<iostream>") == 0) {
       out.push_back({path, static_cast<int>(i) + 1, "iostream",
                      "<iostream> in library code: log via common/log, "
                      "print from examples/bench drivers only"});
@@ -178,24 +176,90 @@ void scan_iostream(const MaskedSource& src, const std::string& path,
   }
 }
 
-void scan_uninit_member(const MaskedSource& src, const std::string& path,
-                        std::vector<Finding>& out) {
-  // Scalar-ish member types: builtins, fixed-width ints, the repo's
-  // numeric/id aliases, and raw pointers.
-  static const std::regex member(
-      R"(^\s*(?:mutable\s+)?()"
-      R"((?:std::)?(?:u?int(?:8|16|32|64)?_t|size_t|ptrdiff_t)|)"
-      R"(bool|char|short|int|long(?:\s+long)?|unsigned(?:\s+int|\s+long)?|)"
-      R"(float|double|Time|Bytes|Bandwidth|[A-Za-z_][\w:]*Id|)"
-      R"([A-Za-z_][\w:]*(?:<[\w:,\s*&]*>)?\s*\*+)"
-      R"()\s*([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*;\s*$)");
+/// Scalar-ish member types: builtins, fixed-width ints, the repo's
+/// numeric/id aliases. Raw pointers are matched by their `*`.
+bool scalar_type(std::string_view type) {
+  static const std::set<std::string, std::less<>> kBuiltins = {
+      "bool", "char", "short", "int", "long", "long long", "unsigned",
+      "unsigned int", "unsigned long", "float", "double", "Time", "Bytes",
+      "Bandwidth"};
+  static const std::set<std::string, std::less<>> kStdInts = {
+      "size_t", "ptrdiff_t", "int8_t", "int16_t", "int32_t", "int64_t",
+      "uint8_t", "uint16_t", "uint32_t", "uint64_t"};
+  if (kBuiltins.contains(type)) return true;
+  if (type.starts_with("std::")) type.remove_prefix(5);
+  return kStdInts.contains(type) || (type.size() > 2 && type.ends_with("Id"));
+}
+
+/// The declared names of a bare scalar or pointer member declaration that
+/// spans all of `toks` (`int a, b;`, `Foo* p;`, `mutable std::uint64_t
+/// n;`), or "" when the line is anything else.
+std::string bare_member_names(std::span<const Token> toks) {
+  auto text = [&](std::size_t k) { return text_at(toks, k); };
+  std::size_t i = text(0) == "mutable" ? 1 : 0;
+  if (!is_kind(toks, i, Token::Kind::kIdent)) return {};
+  std::string type = toks[i++].text;
+  while (text(i) == "::" && is_kind(toks, i + 1, Token::Kind::kIdent)) {
+    type += "::" + toks[i + 1].text;
+    i += 2;
+  }
+  if ((type == "long" && text(i) == "long") ||
+      (type == "unsigned" && (text(i) == "int" || text(i) == "long"))) {
+    type += " " + toks[i++].text;
+  }
+  bool pointer = false;
+  if (text(i) == "<") {
+    // Simple template arguments only: `std::vector<int>*`.
+    ++i;
+    while (!is_kind(toks, i, Token::Kind::kPunct) || text(i) == "::" ||
+           text(i) == "," || text(i) == "*" || text(i) == "&") {
+      if (i >= toks.size()) return {};
+      ++i;
+    }
+    if (text(i) != ">" || text(i + 1) != "*") return {};
+    ++i;
+  }
+  for (; text(i) == "*"; ++i) pointer = true;
+  if (!pointer && !scalar_type(type)) return {};
+
+  std::string names;
+  while (is_kind(toks, i, Token::Kind::kIdent)) {
+    names += (names.empty() ? "" : ", ") + toks[i++].text;
+    if (text(i) != "," || !is_kind(toks, i + 1, Token::Kind::kIdent)) break;
+    ++i;
+  }
+  if (names.empty() || text(i) != ";" || i + 1 != toks.size()) return {};
+  return names;
+}
+
+/// True when `line` opens a struct: `struct Name` after the line start, a
+/// space or one of `;{}`.
+bool struct_head(const std::string& line) {
+  for (std::size_t pos = line.find("struct"); pos != std::string::npos;
+       pos = line.find("struct", pos + 1)) {
+    const bool starts =
+        pos == 0 || std::string_view(";{} \t").find(line[pos - 1]) !=
+                        std::string_view::npos;
+    const std::size_t name = skip_space(line, pos + 6);
+    if (starts && name > pos + 6 && name < line.size() &&
+        (std::isalpha(static_cast<unsigned char>(line[name])) != 0 ||
+         line[name] == '_')) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void scan_uninit_member(const MaskedSource& src,
+                        const std::vector<Token>& toks,
+                        const std::string& path, std::vector<Finding>& out) {
+  static const std::set<std::string> kSkipWords = {
+      "using",     "typedef", "friend", "static",
+      "constexpr", "inline",  "extern", "return"};
+
   // Only `struct` scopes are checked: classes establish invariants in
   // constructors, while structs are used as aggregates whose members leak
   // indeterminate values when left bare. `enum class` is not a class.
-  static const std::regex struct_head(R"((?:^|[;{}\s])struct\s+[A-Za-z_]\w*)");
-  static const std::regex skip_kw(
-      R"(^\s*(?:using|typedef|friend|static|constexpr|inline|extern|return))");
-
   struct Scope {
     int depth = 0;      // brace depth of the struct body
     bool is_struct = false;
@@ -203,25 +267,32 @@ void scan_uninit_member(const MaskedSource& src, const std::string& path,
   std::vector<Scope> scopes;
   int depth = 0;
   bool pending_struct = false;  // saw a struct head, waiting for its '{'
+  std::size_t first_tok = 0;    // first token of the current line
 
   for (std::size_t i = 0; i < src.code.size(); ++i) {
     const std::string& line = src.code[i];
-    const bool head_here = std::regex_search(line, struct_head) &&
+    std::size_t end_tok = first_tok;
+    while (end_tok < toks.size() &&
+           toks[end_tok].line == static_cast<int>(i) + 1) {
+      ++end_tok;
+    }
+    const std::span<const Token> line_toks(toks.data() + first_tok,
+                                           end_tok - first_tok);
+    first_tok = end_tok;
+    const bool head_here = struct_head(line) &&
                            line.find(';') == std::string::npos &&
                            line.find("enum") == std::string::npos;
 
     // Member check happens at the struct body's own depth, before brace
     // bookkeeping for this line (members and braces rarely share a line).
     if (!scopes.empty() && scopes.back().is_struct &&
-        depth == scopes.back().depth &&
-        line.find('(') == std::string::npos &&
-        line.find('=') == std::string::npos &&
-        line.find('{') == std::string::npos &&
-        !std::regex_search(line, skip_kw)) {
-      std::smatch m;
-      if (std::regex_match(line, m, member)) {
+        depth == scopes.back().depth && !line_toks.empty() &&
+        line.find_first_of("(={") == std::string::npos &&
+        !kSkipWords.contains(line_toks[0].text)) {
+      const std::string names = bare_member_names(line_toks);
+      if (!names.empty()) {
         out.push_back({path, static_cast<int>(i) + 1, "uninit-member",
-                       "member '" + m[2].str() +
+                       "member '" + names +
                            "' has no initializer: aggregate instances "
                            "inherit indeterminate values"});
       }
@@ -396,12 +467,11 @@ std::vector<Finding> raw_file_findings(const std::string& path,
   const std::map<std::string, std::string> symbols = unit_symbols(toks);
 
   std::vector<Finding> raw;
-  scan_unordered_iter(src, path, raw);
+  scan_unordered_iter(src, toks, path, raw);
   scan_wall_clock(src, path, raw);
   if (!ctx.rng_module) scan_ambient_rng(src, path, raw);
-  scan_float_equal(src, path, raw);
   if (ctx.library) scan_iostream(src, path, raw);
-  scan_uninit_member(src, path, raw);
+  scan_uninit_member(src, toks, path, raw);
   scan_raw_unit_literal(toks, symbols, path, raw);
 
   std::sort(raw.begin(), raw.end(), [](const Finding& a, const Finding& b) {

@@ -6,10 +6,11 @@
 // only while nothing in the hot path depends on hash order, wall clocks,
 // or ambient randomness — and physically meaningful only while every
 // seconds/bytes/bandwidth value carries the dimension its variable
-// claims. hero-lint is a plain-text/token scanner (no libclang): most
-// rules work line-by-line on comment-masked source; raw-unit-literal
-// runs over a token stream plus a per-file symbol table of unit-typed
-// locals; the project rules (analyze.hpp) reason over the quoted-include
+// claims. hero-lint is a plain-text/token scanner (no libclang, no
+// std::regex): rules work line-by-line on comment-masked source or over
+// its token stream (unordered-iter, uninit-member's declarations, and
+// raw-unit-literal with a per-file symbol table of unit-typed locals);
+// the project rules (analyze.hpp) reason over the quoted-include
 // graph of a ProjectIndex (index.hpp) and the declared layer DAG
 // (tools/lint/layers.txt). Each rule's one-line doc lives in the rule
 // catalogue in lint_core.cpp (`hero_lint --list-rules`, the SARIF rules

@@ -246,6 +246,21 @@ bool freestanding_token(const std::string& text, std::size_t pos) {
   return true;
 }
 
+std::size_t skip_space(const std::string& text, std::size_t pos) {
+  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) {
+    ++pos;
+  }
+  return pos;
+}
+
+std::size_t include_operand(const std::string& line) {
+  std::size_t pos = skip_space(line, 0);
+  if (pos >= line.size() || line[pos] != '#') return std::string::npos;
+  pos = skip_space(line, pos + 1);
+  if (line.compare(pos, 7, "include") != 0) return std::string::npos;
+  return skip_space(line, pos + 7);
+}
+
 std::vector<std::size_t> find_calls(const std::string& line,
                                     const std::string& token) {
   std::vector<std::size_t> hits;

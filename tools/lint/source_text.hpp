@@ -91,6 +91,14 @@ class Suppressions {
 [[nodiscard]] bool freestanding_token(const std::string& text,
                                       std::size_t pos);
 
+/// The first index at or after `pos` that is not a space or tab.
+[[nodiscard]] std::size_t skip_space(const std::string& text,
+                                     std::size_t pos);
+
+/// Where the operand of an `#include` directive starts in `line` (at its
+/// `"` or `<`), or npos when `line` is not an include directive.
+[[nodiscard]] std::size_t include_operand(const std::string& line);
+
 /// Occurrences of `token` followed (after spaces) by '(' that are real
 /// freestanding calls.
 [[nodiscard]] std::vector<std::size_t> find_calls(const std::string& line,
