@@ -66,10 +66,7 @@ coll::GroupId StaticCommScheduler::register_group(
   // A group confined to one server has nothing to aggregate in-network:
   // the DS-integrated INA baselines fall back to plain NCCL there, same as
   // DistServe.
-  const bool single_server =
-      std::all_of(members.begin(), members.end(), [&](topo::NodeId m) {
-        return g.node(m).gpu.server == g.node(members.front()).gpu.server;
-      });
+  const bool single_server = g.split_by_server(members).size() <= 1;
 
   coll::AllReducePlan plan;
   switch (kind_) {
@@ -108,9 +105,9 @@ coll::GroupId StaticCommScheduler::register_group(
         throw std::runtime_error("DS-ATP: no PS fallback host in topology");
       }
       plan = coll::make_hierarchical_plan(
-          g, std::move(members),
-          0.0, sync ? coll::Scheme::kInaSync : coll::Scheme::kInaAsync,
-          ethernet, switches.front(), ps_host_);
+          g, members, 0.0,
+          sync ? coll::Scheme::kInaSync : coll::Scheme::kInaAsync, ethernet,
+          switches.front(), ps_host_);
       break;
     }
   }

@@ -368,21 +368,13 @@ AllReducePlan make_ina_plan(std::vector<topo::NodeId> members, Bytes bytes,
 }
 
 AllReducePlan make_hierarchical_plan(const topo::Graph& g,
-                                     std::vector<topo::NodeId> members,
+                                     std::span<const topo::NodeId> members,
                                      Bytes bytes, Scheme wide_scheme,
                                      const Router& route,
                                      topo::NodeId agg_switch,
                                      topo::NodeId fallback,
                                      std::uint32_t slots) {
-  // Group members by NVLink domain (server id).
-  std::vector<std::vector<topo::NodeId>> groups;
-  std::unordered_map<std::int32_t, std::size_t> by_server;
-  for (topo::NodeId m : members) {
-    const std::int32_t server = g.node(m).gpu.server;
-    auto [it, inserted] = by_server.try_emplace(server, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(m);
-  }
+  std::vector<std::vector<topo::NodeId>> groups = g.split_by_server(members);
 
   AllReducePlan plan;
   if (wide_scheme == Scheme::kRing) {

@@ -167,13 +167,15 @@ class CollectiveEngine {
     Scheme scheme, const Router& route,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);
 
-/// Hierarchical plan: members grouped by server. For ring schemes the
-/// per-server leaders run the wide phase with the full payload; for INA
-/// schemes the wide phase is *sharded* — a local reduce-scatter leaves each
-/// GPU with a 1/g shard which it streams to `agg_switch` through its own
-/// NIC (SwitchML's per-worker streams), followed by a local all-gather.
+/// Hierarchical plan over the members' server layout
+/// (`topo::Graph::split_by_server`, one local group per server). For ring
+/// schemes the per-server leaders run the wide phase with the full payload;
+/// for INA schemes the wide phase is *sharded* — a local reduce-scatter
+/// leaves each GPU with a 1/g shard which it streams to `agg_switch`
+/// through its own NIC (SwitchML's per-worker streams), followed by a local
+/// all-gather.
 [[nodiscard]] AllReducePlan make_hierarchical_plan(
-    const topo::Graph& g, std::vector<topo::NodeId> members, Bytes bytes,
+    const topo::Graph& g, std::span<const topo::NodeId> members, Bytes bytes,
     Scheme wide_scheme, const Router& route,
     topo::NodeId agg_switch = topo::kInvalidNode,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);

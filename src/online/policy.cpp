@@ -8,6 +8,26 @@
 #include "common/check.hpp"
 
 namespace hero::online {
+namespace {
+
+/// Eq. 16's delta: the cost bump of sending `data` (> 0) over `p`, under
+/// the configured delta model.
+double eq16_delta(const Policy& p, const topo::Graph& g, Bytes data,
+                  const OnlineConfig& cfg) {
+  switch (cfg.delta_model) {
+    case DeltaModel::kBottleneckCapacity: {
+      const Bandwidth bw = p.bottleneck_capacity(g);
+      return bw > 0 ? data / (cfg.estimation_window * bw) : 0.0;
+    }
+    case DeltaModel::kPaperLiteral: {
+      const double b = std::max(p.cost, cfg.cost_floor);
+      return raw(data) / (raw(cfg.estimation_window) * b);
+    }
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 Bandwidth Policy::bottleneck_capacity(const topo::Graph& g) const {
   Bandwidth min_bw = std::numeric_limits<Bandwidth>::infinity();
@@ -56,21 +76,7 @@ PolicyTable::PolicyTable(std::vector<Policy> policies,
 double PolicyTable::cost_of(std::size_t i, Bytes data,
                             const OnlineConfig& cfg) const {
   const Policy& p = policies_.at(i);
-  double delta = 0.0;
-  if (data > 0) {
-    switch (cfg.delta_model) {
-      case DeltaModel::kBottleneckCapacity: {
-        const Bandwidth bw = p.bottleneck_capacity(*graph_);
-        delta = bw > 0 ? data / (cfg.estimation_window * bw) : 0.0;
-        break;
-      }
-      case DeltaModel::kPaperLiteral: {
-        const double b = std::max(p.cost, cfg.cost_floor);
-        delta = raw(data) / (raw(cfg.estimation_window) * b);
-        break;
-      }
-    }
-  }
+  const double delta = data > 0 ? eq16_delta(p, *graph_, data, cfg) : 0.0;
   return p.cost + delta;
 }
 
@@ -96,19 +102,7 @@ void PolicyTable::apply_selection(std::size_t selected, Bytes data,
   ++sel.times_selected;
   if (data <= 0) return;
 
-  double delta = 0.0;
-  switch (cfg.delta_model) {
-    case DeltaModel::kBottleneckCapacity: {
-      const Bandwidth bw = sel.bottleneck_capacity(*graph_);
-      delta = bw > 0 ? data / (cfg.estimation_window * bw) : 0.0;
-      break;
-    }
-    case DeltaModel::kPaperLiteral: {
-      const double b = std::max(sel.cost, cfg.cost_floor);
-      delta = raw(data) / (raw(cfg.estimation_window) * b);
-      break;
-    }
-  }
+  const double delta = eq16_delta(sel, *graph_, data, cfg);
   HERO_INVARIANT(delta >= 0.0 && std::isfinite(delta),
                  "Eq. 16 delta {} for policy {}", delta, sel.name);
   for (std::size_t c = 0; c < policies_.size(); ++c) {

@@ -23,24 +23,6 @@ topo::PathOptions hetero_opts(bool heterogeneous) {
   return opts;
 }
 
-/// Wide-phase participants of a would-be plan: group leaders when
-/// hierarchical, all members otherwise.
-std::vector<topo::NodeId> wide_participants(
-    const topo::Graph& g, const std::vector<topo::NodeId>& members,
-    bool hierarchical) {
-  if (!hierarchical) return members;
-  std::vector<topo::NodeId> leaders;
-  std::vector<std::int32_t> seen;
-  for (topo::NodeId m : members) {
-    const std::int32_t server = g.node(m).gpu.server;
-    if (std::find(seen.begin(), seen.end(), server) == seen.end()) {
-      seen.push_back(server);
-      leaders.push_back(m);
-    }
-  }
-  return leaders;
-}
-
 }  // namespace
 
 std::vector<Policy> build_policies(const topo::Routes& routes,
@@ -55,8 +37,16 @@ std::vector<Policy> build_policies(const topo::Routes& routes,
   }
   const topo::Graph& graph = routes.graph();
   const coll::Router route = coll::shortest_path_router(routes);
-  const std::vector<topo::NodeId> wide =
-      wide_participants(graph, members, opts.heterogeneous);
+  // Switches are ranked by the wide-phase participants of a would-be plan:
+  // the server leaders when hierarchical, every member otherwise.
+  std::vector<topo::NodeId> wide;
+  if (opts.heterogeneous) {
+    for (const auto& group : graph.split_by_server(members)) {
+      wide.push_back(group.front());
+    }
+  } else {
+    wide = members;
+  }
 
   std::vector<Policy> policies;
   auto add = [&](std::string name, coll::AllReducePlan plan) {

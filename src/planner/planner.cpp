@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 #include "gpusim/gpu_spec.hpp"
@@ -34,6 +33,15 @@ topo::PathOptions path_options(const PlannerInputs& in, Bytes ref_bytes) {
 const gpu::GpuSpec& reference_spec() {
   static const gpu::GpuSpec ref = gpu::spec_of(topo::GpuModel::kA100_40);
   return ref;
+}
+
+/// NVLink bandwidth of the hierarchical local phase: the first NVLink edge's
+/// capacity, 600 GB/s when the graph has none.
+Bandwidth first_nvlink_bandwidth(const topo::Graph& g) {
+  for (topo::EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (g.edge(e).kind == topo::LinkKind::kNvLink) return g.edge(e).capacity;
+  }
+  return 600.0 * units::GBps;
 }
 
 }  // namespace
@@ -102,7 +110,8 @@ OfflinePlanner::OfflinePlanner(PlannerInputs inputs)
                                     in_.model.sync_volume_per_step(
                                         std::max<std::size_t>(in_.k_in, 1)),
                                     64.0 * units::KiB))),
-      election_routes_(*in_.graph, path_options(in_, 1.0 * units::MiB)) {}
+      election_routes_(*in_.graph, path_options(in_, 1.0 * units::MiB)),
+      nvlink_bw_(first_nvlink_bandwidth(*in_.graph)) {}
 
 std::vector<CandidateConfig> OfflinePlanner::generate_candidates() const {
   const Bytes model_bytes = in_.model.param_bytes();
@@ -184,72 +193,25 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
                      return g.node(a).gpu.server < g.node(b).gpu.server;
                    });
 
-  // Wide-phase members: leaders per server when heterogeneous.
-  std::vector<topo::NodeId> wide;
-  std::vector<std::size_t> local_sizes;
+  // Heterogeneous mode splits the group into its NVLink domains: the
+  // leaders run the wide ring and every member streams its 1/g shard in the
+  // sharded INA wide phase (see make_hierarchical_plan). Homogeneous mode
+  // runs both flat, one group per GPU.
+  std::vector<std::vector<topo::NodeId>> domains;
   if (in_.heterogeneous) {
-    std::map<std::int32_t, std::size_t> counts;
-    for (topo::NodeId m : ordered) ++counts[g.node(m).gpu.server];
-    std::int32_t last_server = -2;
-    for (topo::NodeId m : ordered) {
-      const std::int32_t server = g.node(m).gpu.server;
-      if (server != last_server) {
-        wide.push_back(m);
-        local_sizes.push_back(counts[server]);
-        last_server = server;
-      }
-    }
+    domains = g.split_by_server(ordered);
   } else {
-    wide = ordered;
-    local_sizes.assign(wide.size(), 1);
+    for (topo::NodeId m : ordered) domains.push_back({m});
   }
-
-  // NVLink bandwidth of the local phase (first NVLink edge found).
-  Bandwidth nvlink_bw = 600.0 * units::GBps;
-  for (topo::EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (g.edge(e).kind == topo::LinkKind::kNvLink) {
-      nvlink_bw = g.edge(e).capacity;
-      break;
-    }
-  }
-
-  auto wide_ring_latency = [&]() -> Time {
-    if (wide.size() <= 1) return 0.0;
-    std::vector<topo::Path> ring;
-    ring.reserve(wide.size());
-    for (std::size_t i = 0; i < wide.size(); ++i) {
-      ring.push_back(
-          routes_.path(wide[i], wide[(i + 1) % wide.size()]).value());
-    }
-    return coll::ring_all_reduce_latency_on_paths(g, ring, step_volume);
-  };
-
-  auto wide_ina_latency = [&](topo::NodeId sw) -> Time {
-    // Heterogeneous mode runs the sharded INA wide phase: every member
-    // streams volume/g through its own NIC (see make_hierarchical_plan).
-    Time col = 0.0, dis = 0.0;
-    if (in_.heterogeneous) {
-      std::map<std::int32_t, double> group_size;
-      for (topo::NodeId m : ordered) ++group_size[g.node(m).gpu.server];
-      for (topo::NodeId m : ordered) {
-        const Bytes shard =
-            step_volume / group_size[g.node(m).gpu.server];
-        col = std::max(col, routes_.latency(m, sw, shard));
-        dis = std::max(dis, routes_.latency(sw, m, shard));
-      }
-    } else {
-      for (topo::NodeId m : wide) {
-        col = std::max(col, routes_.latency(m, sw, step_volume));
-        dis = std::max(dis, routes_.latency(sw, m, step_volume));
-      }
-    }
-    return col + in_.comm_cost.agg_latency + dis;
-  };
+  std::vector<topo::NodeId> wide;
+  wide.reserve(domains.size());
+  for (const auto& domain : domains) wide.push_back(domain.front());
 
   // Ring option.
-  Time t_ring = wide_ring_latency();
+  Time t_ring = coll::ring_all_reduce_latency_on_routes(routes_, wide,
+                                                        step_volume);
   if (in_.heterogeneous) {
-    t_ring = coll::hierarchical_latency(step_volume, local_sizes, nvlink_bw,
+    t_ring = coll::hierarchical_latency(step_volume, domains, nvlink_bw_,
                                         t_ring);
   }
 
@@ -262,9 +224,10 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
       coll::rank_aggregation_switches(election_routes_, wide, 1);
   if (!switches.empty()) {
     best_switch = switches.front();
-    t_ina = wide_ina_latency(best_switch);
+    t_ina = coll::ina_all_reduce_latency_on_routes(
+        routes_, domains, best_switch, step_volume, in_.comm_cost);
     if (in_.heterogeneous) {
-      t_ina = coll::hierarchical_latency(step_volume, local_sizes, nvlink_bw,
+      t_ina = coll::hierarchical_latency(step_volume, domains, nvlink_bw_,
                                          t_ina);
     }
   }

@@ -179,6 +179,8 @@ class OfflinePlanner {
   /// elections rank by (a route-quality ranking, not a volume estimate);
   /// shared by every election score_group() runs.
   topo::Routes election_routes_;
+  /// NVLink bandwidth of score_group()'s hierarchical local phase.
+  Bandwidth nvlink_bw_;
 
   /// `q_dec` sizes the decode cluster's batch-dependent terms (context
   /// tokens and sync volumes); ignored for prefill.

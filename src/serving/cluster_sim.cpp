@@ -514,15 +514,15 @@ void ClusterSim::start_decode_iteration() {
   }
 
   // All pipeline stages run concurrently (steady-state pipelining).
-  auto pending = std::make_shared<std::size_t>(decode_stages_.size());
+  decode_pending_ = decode_stages_.size();
   for (Stage& stage : decode_stages_) {
     const Time compute = stage.kernel->decode_time(batch_size, ctx,
                                                    stage.layers,
                                                    stage.p_tens) *
                          stage_scale(stage);
-    simulator().schedule_in(compute, [this, &stage, batch_size, pending] {
-      auto finish_piece = [this, batch_size, pending] {
-        if (--*pending == 0) on_decode_iteration_done(batch_size);
+    simulator().schedule_in(compute, [this, &stage, batch_size] {
+      auto finish_piece = [this, batch_size] {
+        if (--decode_pending_ == 0) on_decode_iteration_done(batch_size);
       };
       if (stage.p_tens <= 1) {
         finish_piece();
@@ -590,7 +590,6 @@ ServingReport ClusterSim::report() const {
   report.submitted = submitted_;
   report.gpus_used = prefill_gpus_.size() + decode_gpus_.size();
   Time last_finish = 0.0;
-  std::size_t within_sla = 0;
   HERO_INVARIANT(retired_.size() <= submitted_,
                  "retired {} requests of {} submitted", retired_.size(),
                  submitted_);
@@ -619,12 +618,12 @@ ServingReport ClusterSim::report() const {
     }
     if (ttft <= opts_.sla_ttft &&
         (ar->req.output_tokens <= 1 || tpot <= opts_.sla_tpot)) {
-      ++within_sla;
+      ++report.within_sla;
     }
   }
   report.sla_attainment =
       submitted_ == 0 ? 0.0
-                      : static_cast<double>(within_sla) /
+                      : static_cast<double>(report.within_sla) /
                             static_cast<double>(submitted_);
   report.makespan = last_finish;
   report.requests_per_second =

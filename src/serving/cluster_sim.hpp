@@ -126,7 +126,8 @@ struct ServingReport {
   std::size_t completed = 0;
   Percentiles ttft;
   Percentiles tpot;
-  double sla_attainment = 0.0;  ///< fraction meeting both TTFT and TPOT SLAs
+  std::size_t within_sla = 0;   ///< requests meeting both TTFT and TPOT SLAs
+  double sla_attainment = 0.0;  ///< within_sla / submitted
   Time makespan = 0.0;
   Rate requests_per_second = 0.0;
   Rate per_gpu_goodput = 0.0;  ///< the paper's scalability metric basis
@@ -249,6 +250,9 @@ class ClusterSim {
   std::deque<std::unique_ptr<ActiveRequest>> decode_wait_queue_;
   std::vector<std::unique_ptr<ActiveRequest>> decoding_;
   bool decode_busy_ = false;
+  /// Stages of the running decode iteration still computing or syncing
+  /// (one iteration runs at a time, see decode_busy_).
+  std::size_t decode_pending_ = 0;
 
   // KV memory accounting (whole decode cluster). Invariant:
   // kv_used_ + prefix-cache bytes <= kv_budget_.

@@ -1,7 +1,6 @@
 #include "serving/fleet_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -246,7 +245,6 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
   fleet.dispatched = router_.dispatched();
   fleet.lifetimes = lifetimes_;
   ServingReport& agg = fleet.aggregate;
-  double within_sla = 0.0;
   // Budget-weighted KV average. The weights are budget / total, so a fleet
   // of one weighs its instance by exactly 1.0 and reports its average bit
   // for bit (avg * b / b could drift by an ulp).
@@ -261,10 +259,7 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
     agg.makespan = std::max(agg.makespan, rep.makespan);
     agg.ttft.merge(rep.ttft);
     agg.tpot.merge(rep.tpot);
-    // report() normalized attainment by this instance's own submissions;
-    // recover the absolute count so the fleet number is exact.
-    within_sla += std::round(rep.sla_attainment *
-                             static_cast<double>(rep.submitted));
+    agg.within_sla += rep.within_sla;
     agg.kv_utilization_peak =
         std::max(agg.kv_utilization_peak, rep.kv_utilization_peak);
     if (kv_budget_total > 0) {
@@ -289,7 +284,9 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
               return a.id < b.id;
             });
   agg.sla_attainment =
-      trace.empty() ? 0.0 : within_sla / static_cast<double>(trace.size());
+      trace.empty() ? 0.0
+                    : static_cast<double>(agg.within_sla) /
+                          static_cast<double>(trace.size());
   agg.requests_per_second =
       agg.makespan > 0
           ? static_cast<double>(agg.completed) / agg.makespan

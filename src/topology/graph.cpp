@@ -1,5 +1,7 @@
 #include "topology/graph.hpp"
 
+#include <algorithm>
+
 namespace hero::topo {
 
 const char* to_string(NodeKind kind) {
@@ -116,6 +118,24 @@ std::vector<std::vector<NodeId>> Graph::gpus_by_server() const {
     }
   }
   return out;
+}
+
+std::vector<std::vector<NodeId>> Graph::split_by_server(
+    std::span<const NodeId> members) const {
+  std::vector<std::vector<NodeId>> groups;
+  for (NodeId m : members) {
+    const std::int32_t server = node(m).gpu.server;
+    const auto it = std::find_if(
+        groups.begin(), groups.end(), [&](const std::vector<NodeId>& group) {
+          return node(group.front()).gpu.server == server;
+        });
+    if (it == groups.end()) {
+      groups.push_back({m});
+    } else {
+      it->push_back(m);
+    }
+  }
+  return groups;
 }
 
 NodeId Graph::find(std::string_view name) const {

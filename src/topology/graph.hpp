@@ -110,6 +110,11 @@ class Graph {
   [[nodiscard]] std::vector<NodeId> switches() const;
   /// GPUs grouped by server id; index = server id.
   [[nodiscard]] std::vector<std::vector<NodeId>> gpus_by_server() const;
+  /// `members` split into NVLink domains (a tensor-parallel group's server
+  /// layout): one group per server id, in order of first appearance, each
+  /// keeping the list order of its members, so its leader comes first.
+  [[nodiscard]] std::vector<std::vector<NodeId>> split_by_server(
+      std::span<const NodeId> members) const;
 
   [[nodiscard]] bool is_gpu(NodeId id) const {
     return node(id).kind == NodeKind::kGpu;

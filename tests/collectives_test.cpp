@@ -75,42 +75,42 @@ TEST(CostModel, RingDegenerateCases) {
   EXPECT_TRUE(std::isinf(raw(ring_all_reduce_latency(4, 1e6, 0.0))));
 }
 
-TEST(CostModel, RingOnPathsUsesWorstNeighbor) {
+TEST(CostModel, RingOnRoutesUsesWorstNeighbor) {
   const topo::Graph g = star_graph(3);
   const topo::Routes routes(g);
-  const Router route = shortest_path_router(routes);
-  std::vector<topo::Path> ring;
-  const auto gpus = g.gpus();
-  for (std::size_t i = 0; i < gpus.size(); ++i) {
-    ring.push_back(route(gpus[i], gpus[(i + 1) % gpus.size()]));
-  }
-  // Each neighbor path is 2 hops; chunk = V/3; steps = 4.
+  // Each neighbor route is 2 hops; chunk = V/3; steps = 4.
   const Bytes v = 3.0 * units::MB;
-  const Time t = ring_all_reduce_latency_on_paths(g, ring, v);
+  const Time t = ring_all_reduce_latency_on_routes(routes, g.gpus(), v);
   EXPECT_NEAR(raw(t), raw(4.0 * 2.0 * (units::MB / 12.5e9)), 1e-9);
 }
 
-TEST(CostModel, InaOnPathsEq8) {
+TEST(CostModel, InaOnRoutesEq8) {
   const topo::Graph g = star_graph(3);
   const topo::Routes routes(g);
-  const Router route = shortest_path_router(routes);
   const NodeId sw = g.find("sw");
-  std::vector<topo::Path> up, down;
-  for (NodeId gpu : g.gpus()) {
-    up.push_back(route(gpu, sw));
-    down.push_back(route(sw, gpu));
-  }
+  // One GPU per server: every member streams the full volume.
+  const auto groups = g.split_by_server(g.gpus());
   CostConfig cfg;
-  const Time t =
-      ina_all_reduce_latency_on_paths(g, up, down, 1.0 * units::MB, cfg);
+  const Time t = ina_all_reduce_latency_on_routes(routes, groups, sw,
+                                                  1.0 * units::MB, cfg);
   // 1 hop up (80us) + 1us agg + 1 hop down (80us).
   EXPECT_NEAR(raw(t), raw(161.0 * units::us), 1e-9);
 }
 
+TEST(CostModel, InaOnRoutesShardsByGroup) {
+  const topo::Graph g = star_graph(3);
+  const topo::Routes routes(g);
+  // One group of three: every member streams a third of the volume.
+  const std::vector<std::vector<NodeId>> groups = {g.gpus()};
+  const Time t = ina_all_reduce_latency_on_routes(
+      routes, groups, g.find("sw"), 3.0 * units::MB);
+  EXPECT_NEAR(raw(t), raw(161.0 * units::us), 1e-9);
+}
+
 TEST(CostModel, HierarchicalAddsLocalAndBroadcast) {
-  const std::size_t sizes[] = {4, 2};
+  const std::vector<std::vector<NodeId>> groups = {{0, 1, 2, 3}, {4, 5}};
   const Time wide = 100.0 * units::us;
-  const Time t = hierarchical_latency(4.0 * units::MB, sizes,
+  const Time t = hierarchical_latency(4.0 * units::MB, groups,
                                       600.0 * units::GBps, wide);
   // local ring (4 GPUs): 6 * 1MB / 600GBps = 10us; bcast 4MB/600GBps ~ 6.7us
   EXPECT_GT(t, wide);

@@ -1,6 +1,8 @@
 // Unit tests for the topology graph and the paper's topology builders.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "topology/builders.hpp"
 #include "topology/graph.hpp"
 
@@ -129,6 +131,46 @@ TEST(Testbed, CrossConnectedUplinks) {
     EXPECT_EQ(to0, 2) << "server " << server;
     EXPECT_EQ(to1, 2) << "server " << server;
   }
+}
+
+// --- server layout of a member list ---
+
+TEST(SplitByServer, MixedTestbedGroupKeepsFirstAppearanceLeaderFirst) {
+  const Graph g = make_testbed();
+  const auto by_server = g.gpus_by_server();
+  // A V100 server's GPU comes first, then the two A100 servers interleave.
+  const std::vector<NodeId> members = {by_server[2][1], by_server[0][3],
+                                       by_server[2][0], by_server[1][0],
+                                       by_server[0][1]};
+  const auto groups = g.split_by_server(members);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0], (std::vector<NodeId>{by_server[2][1], by_server[2][0]}));
+  EXPECT_EQ(groups[1], (std::vector<NodeId>{by_server[0][3], by_server[0][1]}));
+  EXPECT_EQ(groups[2], (std::vector<NodeId>{by_server[1][0]}));
+}
+
+TEST(SplitByServer, OneServerGroupIsOneGroup) {
+  const Graph g = make_testbed();
+  const std::vector<NodeId> members = g.gpus_by_server()[3];
+  const auto groups = g.split_by_server(members);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0], members);
+}
+
+TEST(SplitByServer, FlatMemberListIsOneGroupPerGpu) {
+  // One GPU per server: every member is its own leader.
+  Graph g;
+  const NodeId a = g.add_gpu("a", GpuModel::kA100_40, 1, 3);
+  const NodeId b = g.add_gpu("b", GpuModel::kA100_40, 1, 2);
+  const NodeId c = g.add_gpu("c", GpuModel::kA100_40, 1, 1);
+  const NodeId d = g.add_gpu("d", GpuModel::kA100_40, 1, 0);
+  const std::vector<NodeId> members = {c, a, d, b};
+  const auto groups = g.split_by_server(members);
+  ASSERT_EQ(groups.size(), members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(groups[i], std::vector<NodeId>{members[i]});
+  }
+  EXPECT_TRUE(g.split_by_server({}).empty());
 }
 
 TEST(Testbed, NvLinkMeshWithinServers) {
